@@ -286,8 +286,11 @@ def _cmd_plateau(args, out: Path) -> dict:
         if args.write_mesh and rep.final_mesh is not None:
             tag = f"{rep.config.pinch_radius:g}".replace(".", "p")
             write_mesh4(out / f"final_{tag}.mesh4", rep.final_mesh)
-    record = {"runs": len(reports),
-              "verdicts": {f"{r.config.pinch_radius:g}": r.verdict for r in reports}}
+    def by_pinch(field: str) -> dict:
+        return {f"{r.config.pinch_radius:g}": getattr(r, field) for r in reports}
+
+    record = {"runs": len(reports), "verdicts": by_pinch("verdict"),
+              "stopped": by_pinch("stopped"), "grad_norm": by_pinch("grad_norm")}
     return {"header": header, "rows": rows, "record": record}
 
 

@@ -23,13 +23,7 @@ import numpy as np
 from . import exterior
 from .bounds import projection_sums, wirtinger_bound
 from .grassmann import Plane, canonical_pair, characteristic_angles
-from .surfaces import TriMesh4, area, shadow_area
-
-# wedge coefficients -> antisymmetric matrix, as a (6, 4, 4) structure tensor
-_STRUCT = np.zeros((6, 4, 4))
-for _k, (_i, _j) in enumerate(exterior.BASIS):
-    _STRUCT[_k, _i, _j] = 1.0
-    _STRUCT[_k, _j, _i] = -1.0
+from .surfaces import TriMesh4, area, face_tangents, shadow_area
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,8 @@ class ExperimentReport:
     shadows_cover: tuple[bool, bool]
     verdict: str                     # no-improvement-found | improved | certified-optimal
     tolerance: float                 # rasterization + discretization allowance
+    stopped: str                     # descent stop reason, as in MinimizeResult
+    grad_norm: float                 # free-vertex gradient norm at the final mesh
     final_mesh: TriMesh4 | None = None
 
 
@@ -170,31 +166,58 @@ def build_pinched_competitor(alpha1: float, alpha2: float,
     return TriMesh4(verts, faces, fixed)
 
 
+def _wedge_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows A x for the antisymmetric matrices A of the 2-vectors w.
+
+    A[i, j] = w[k] = -A[j, i] for basis pair k = (i, j).  Each row sums its
+    three terms as (b0 + b2) + (b1 + b3) over column b with the zero
+    diagonal term dropped, the grouping of numpy's einsum
+    "fab,fb->fa" on 4 columns, so results match it bit for bit.
+    """
+    w0, w1, w2, w3, w4, w5 = w.T
+    x0, x1, x2, x3 = x.T
+    out = np.empty((len(w), 4))
+    out[:, 0] = w1 * x2 + (w0 * x1 + w2 * x3)
+    out[:, 1] = (w3 * x2 - w0 * x0) + w4 * x3
+    out[:, 2] = -(w1 * x0) + (w5 * x3 - w3 * x1)
+    out[:, 3] = (-(w2 * x0) - w5 * x2) - w4 * x1
+    return out
+
+
 def _area_and_gradient(verts: np.ndarray, faces: np.ndarray):
-    p = verts[faces]
-    u = p[:, 1] - p[:, 0]
-    v = p[:, 2] - p[:, 0]
+    p0 = verts[faces[:, 0]]
+    u = verts[faces[:, 1]] - p0
+    v = verts[faces[:, 2]] - p0
     w = exterior.wedge(u, v)
     n = np.sqrt(np.sum(w * w, axis=1))
     total = 0.5 * float(np.sum(n))
-    safe = np.maximum(n, 1e-30)
-    wm = np.einsum("fk,kab->fab", w, _STRUCT)
-    g1 = np.einsum("fab,fb->fa", wm, v) / (2.0 * safe[:, None])
-    g2 = -np.einsum("fab,fb->fa", wm, u) / (2.0 * safe[:, None])
+    den = (2.0 * np.maximum(n, 1e-30))[:, None]
+    g1 = _wedge_apply(w, v) / den
+    g2 = -_wedge_apply(w, u) / den
     g0 = -(g1 + g2)
-    grad = np.zeros_like(verts)
-    np.add.at(grad, faces[:, 0], g0)
-    np.add.at(grad, faces[:, 1], g1)
-    np.add.at(grad, faces[:, 2], g2)
+    # bincount adds in input order, corner 0 of every face first, like add.at
+    idx = faces.T.reshape(-1)
+    g = np.concatenate([g0, g1, g2])
+    grad = np.empty_like(verts)
+    for c in range(4):
+        grad[:, c] = np.bincount(idx, weights=g[:, c], minlength=len(verts))
     return total, grad
 
 
 def _retract_to_ball(verts: np.ndarray, free: np.ndarray) -> None:
+    """Radially pull the rows ``free`` (indices) of verts back into the unit ball."""
     norms = np.linalg.norm(verts[free], axis=1)
     out = norms > 1.0
     if out.any():
-        idx = np.flatnonzero(free)[out]
+        idx = free[out]
         verts[idx] /= norms[out][:, None]
+
+
+def _free_grad_norm(grad: np.ndarray, free: np.ndarray) -> float:
+    # a numpy pairwise sum, not np.linalg.norm: its BLAS dot product splits
+    # the sum by the BLAS thread count, so the value varied between machines
+    g = grad[free]
+    return float(np.sqrt(np.sum(g * g)))
 
 
 def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
@@ -202,12 +225,12 @@ def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> M
     if not mesh.fixed.any():
         raise ValueError("mesh has no fixed boundary vertices")
     verts = mesh.vertices.copy()
-    free = ~mesh.fixed
+    free = np.flatnonzero(~mesh.fixed)
     current, grad = _area_and_gradient(verts, mesh.faces)
     trace = [current]
     step = opt.step
     stopped = "max-iters"
-    gnorm = float(np.linalg.norm(grad[free]))
+    gnorm = _free_grad_norm(grad, free)
     for _ in range(opt.max_iters):
         if gnorm < opt.tol_grad:
             stopped = "converged"
@@ -221,7 +244,7 @@ def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> M
             val, g = _area_and_gradient(trial, mesh.faces)
             if val < current:
                 verts, current, grad = trial, val, g
-                gnorm = float(np.linalg.norm(grad[free]))
+                gnorm = _free_grad_norm(grad, free)
                 trace.append(current)
                 step = min(s * 1.5, 10.0 * opt.step)
                 accepted = True
@@ -255,19 +278,10 @@ def certificate_lower_bound(
     ang = characteristic_angles(p1, p2)
     lam = wirtinger_bound(ang.alpha1)
     if len(mesh.faces):
-        w = _edge_wedges_safe(mesh)
+        w = face_tangents(mesh, drop_degenerate=True)
         if len(w):
             lam = min(lam, float(np.max(projection_sums(p1, p2, w))))
     return (sh1 + sh2) / lam, covers
-
-
-def _edge_wedges_safe(mesh: TriMesh4) -> np.ndarray:
-    """Unit tangents of all non-degenerate faces (zero-area faces carry no measure)."""
-    p = mesh.vertices[mesh.faces]
-    w = exterior.wedge(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    n = np.sqrt(np.sum(w * w, axis=1))
-    keep = n > 1e-13
-    return w[keep] / n[keep, None]
 
 
 def mesh_area_tolerance(n: int) -> float:
@@ -312,5 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         shadows_cover=covers,
         verdict=verdict,
         tolerance=tol,
+        stopped=result.stopped,
+        grad_norm=result.grad_norm,
         final_mesh=result.mesh,
     )

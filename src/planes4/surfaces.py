@@ -17,12 +17,14 @@ significant digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import exterior
+from .errors import ConfigError
 from .grassmann import Plane, characteristic_angles
 from .bounds import projection_sums, wirtinger_bound
 
@@ -97,10 +99,18 @@ def area(mesh: TriMesh4) -> float:
     return float(np.sum(face_areas(mesh)))
 
 
-def face_tangents(mesh: TriMesh4) -> np.ndarray:
-    """Unit simple tangent 2-vector per face."""
+def face_tangents(mesh: TriMesh4, drop_degenerate: bool = False) -> np.ndarray:
+    """Unit simple tangent 2-vector per face.
+
+    A degenerate face raises, unless ``drop_degenerate`` is set: then faces
+    whose wedge norm is at most 1e-13 are left out, since a zero-area face
+    carries no measure (optimized meshes are not revalidated).
+    """
     w = _edge_wedges(mesh)
     n = exterior.norm(w)
+    if drop_degenerate:
+        keep = n > 1e-13
+        return w[keep] / n[keep, None]
     if len(n) and n.min() < 2.0 * _DEGENERATE_AREA:
         raise ValueError("mesh contains a degenerate face")
     return w / n[:, None]
@@ -136,34 +146,62 @@ def shadow_area(mesh: TriMesh4, plane: Plane, resolution: int = 256) -> float:
     if not len(mesh.faces):
         return 0.0
     cell = 1.0 / resolution
-    pts = mesh.vertices @ plane.basis.T            # (n, 2)
-    tris = pts[mesh.faces]                          # (m, 3, 2)
+    tris = (mesh.vertices @ plane.basis.T)[mesh.faces]     # (m, 3, 2)
     lo = tris.reshape(-1, 2).min(axis=0) - cell
     hi = tris.reshape(-1, 2).max(axis=0) + cell
     nx = int(np.ceil((hi[0] - lo[0]) / cell)) + 1
     ny = int(np.ceil((hi[1] - lo[1]) / cell)) + 1
-    bitmap = np.zeros((nx, ny), dtype=bool)
-
-    for t in tris:
-        d = (t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1]) - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0])
-        if abs(d) < 1e-30:
-            continue                                # degenerate shadow, measure zero
-        i0 = max(0, int(np.floor((t[:, 0].min() - lo[0]) / cell)))
-        i1 = min(nx - 1, int(np.ceil((t[:, 0].max() - lo[0]) / cell)))
-        j0 = max(0, int(np.floor((t[:, 1].min() - lo[1]) / cell)))
-        j1 = min(ny - 1, int(np.ceil((t[:, 1].max() - lo[1]) / cell)))
-        if i1 < i0 or j1 < j0:
-            continue
-        cx = lo[0] + (np.arange(i0, i1 + 1) + 0.5) * cell
-        cy = lo[1] + (np.arange(j0, j1 + 1) + 0.5) * cell
-        x, y = np.meshgrid(cx, cy, indexing="ij")
-        b1 = ((t[1, 0] - t[0, 0]) * (y - t[0, 1]) - (t[1, 1] - t[0, 1]) * (x - t[0, 0])) / d
-        b2 = ((t[2, 0] - t[1, 0]) * (y - t[1, 1]) - (t[2, 1] - t[1, 1]) * (x - t[1, 0])) / d
-        b3 = ((t[0, 0] - t[2, 0]) * (y - t[2, 1]) - (t[0, 1] - t[2, 1]) * (x - t[2, 0])) / d
-        inside = (b1 >= -1e-12) & (b2 >= -1e-12) & (b3 >= -1e-12)
-        bitmap[i0:i1 + 1, j0:j1 + 1] |= inside
-
+    bitmap = _shadow_bitmap(tris, lo, (nx, ny), cell)
     return float(bitmap.sum()) * cell * cell
+
+
+#: cells tested per rasterizer batch; it bounds the batch temporaries
+#: (about 20 arrays of this length), which set the kernel's peak memory
+_RASTER_CHUNK = 1 << 12
+
+
+def _shadow_bitmap(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
+                   cell: float) -> np.ndarray:
+    """Cells of the grid ``lo + (index + 1/2) * cell`` whose center a triangle covers.
+
+    A triangle tests the cells of its bounding box, clipped to the grid,
+    by its three edge functions over its determinant ``d`` with slack
+    1e-12; triangles with ``|d| < 1e-30`` have a measure-zero shadow and
+    are skipped.  The boxes are expanded into (triangle, cell) pairs in
+    batches of ``_RASTER_CHUNK`` cells.
+    """
+    nx, ny = shape
+    bitmap = np.zeros(nx * ny, dtype=bool)
+    x0, y0 = tris[:, 0, 0], tris[:, 0, 1]
+    x1, y1 = tris[:, 1, 0], tris[:, 1, 1]
+    x2, y2 = tris[:, 2, 0], tris[:, 2, 1]
+    d = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    i0 = np.maximum(0, np.floor((tris[:, :, 0].min(axis=1) - lo[0]) / cell).astype(np.int64))
+    i1 = np.minimum(nx - 1, np.ceil((tris[:, :, 0].max(axis=1) - lo[0]) / cell).astype(np.int64))
+    j0 = np.maximum(0, np.floor((tris[:, :, 1].min(axis=1) - lo[1]) / cell).astype(np.int64))
+    j1 = np.minimum(ny - 1, np.ceil((tris[:, :, 1].max(axis=1) - lo[1]) / cell).astype(np.int64))
+    live = np.flatnonzero((np.abs(d) >= 1e-30) & (i1 >= i0) & (j1 >= j0))
+    height = (j1 - j0 + 1)[live]
+    count = (i1 - i0 + 1)[live] * height
+    ends = np.cumsum(count)
+    starts = ends - count
+    cx = lo[0] + (np.arange(nx) + 0.5) * cell
+    cy = lo[1] + (np.arange(ny) + 0.5) * cell
+    total = int(ends[-1]) if len(ends) else 0
+    for first in range(0, total, _RASTER_CHUNK):
+        ids = np.arange(first, min(first + _RASTER_CHUNK, total))
+        r = np.searchsorted(ends, ids, side="right")
+        t = live[r]
+        off = ids - starts[r]
+        i = i0[t] + off // height[r]
+        j = j0[t] + off % height[r]
+        x, y, dt = cx[i], cy[j], d[t]
+        ax, ay, bx, by, ex, ey = x0[t], y0[t], x1[t], y1[t], x2[t], y2[t]
+        inside = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / dt >= -1e-12
+        inside &= ((ex - bx) * (y - by) - (ey - by) * (x - bx)) / dt >= -1e-12
+        inside &= ((ax - ex) * (y - ey) - (ay - ey) * (x - ex)) / dt >= -1e-12
+        bitmap[(i * ny + j)[inside]] = True
+    return bitmap.reshape(nx, ny)
 
 
 @dataclass(frozen=True)
@@ -304,36 +342,70 @@ def band_area(
 
 def write_mesh4(path, mesh: TriMesh4) -> None:
     """Write a mesh in the MESH4 text format (17 significant digits)."""
+    real = "{:.17g}".format
+    lines = [f"MESH4 {len(mesh.vertices)} {len(mesh.faces)}"]
+    lines += [" ".join(map(real, v)) for v in mesh.vertices.tolist()]
+    lines += [f"{a} {b} {c}" for a, b, c in mesh.faces.tolist()]
+    idx = np.flatnonzero(mesh.fixed).tolist()
+    lines += ["B " + " ".join(map(str, idx[s:s + 16])) for s in range(0, len(idx), 16)]
     with open(path, "w", encoding="ascii") as f:
-        f.write(f"MESH4 {len(mesh.vertices)} {len(mesh.faces)}\n")
-        for v in mesh.vertices:
-            f.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        for tri in mesh.faces:
-            f.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
-        idx = np.flatnonzero(mesh.fixed)
-        for s in range(0, len(idx), 16):
-            f.write("B " + " ".join(str(i) for i in idx[s:s + 16]) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def read_mesh4(path) -> TriMesh4:
-    """Read a MESH4 text file."""
-    with open(path, "r", encoding="ascii") as f:
-        tokens = f.readline().split()
-        if len(tokens) != 3 or tokens[0] != "MESH4":
-            raise ValueError(f"{path}: not a MESH4 file")
-        nv, nf = int(tokens[1]), int(tokens[2])
-        verts = np.empty((nv, 4))
-        for i in range(nv):
-            verts[i] = [float(tok) for tok in f.readline().split()]
-        faces = np.empty((nf, 3), dtype=np.int64)
-        for i in range(nf):
-            faces[i] = [int(tok) for tok in f.readline().split()]
-        fixed = np.zeros(nv, dtype=bool)
-        for line in f:
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0] != "B":
-                raise ValueError(f"{path}: unexpected trailing line {line!r}")
-            fixed[[int(tok) for tok in tokens[1:]]] = True
-    return TriMesh4(verts, faces, fixed)
+    """Read a MESH4 text file.
+
+    Raises ``ConfigError`` naming ``path:line`` for a bad header, a line
+    with the wrong number of tokens, a token that is not a finite real or
+    an integer, a vertex index out of range, or a file that ends early.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not an ASCII MESH4 file ({exc.reason})") from exc
+
+    def values(line_no: int, tokens: list[str], kind: type, nv: int | None = None):
+        out = []
+        for tok in tokens:
+            try:
+                val = kind(tok)
+            except ValueError:
+                val = None
+            if val is None or not math.isfinite(val):
+                what = "a finite real" if kind is float else "an integer"
+                raise ConfigError(f"{path}:{line_no}: {tok!r} is not {what}")
+            if nv is not None and not 0 <= val < nv:
+                raise ConfigError(f"{path}:{line_no}: vertex index {val} out of range [0, {nv})")
+            out.append(val)
+        return out
+
+    def row(line_no: int, count: int, kind: type, nv: int | None = None):
+        if line_no > len(lines):
+            raise ConfigError(f"{path}:{line_no}: file ends early")
+        tokens = lines[line_no - 1].split()
+        if len(tokens) != count:
+            raise ConfigError(f"{path}:{line_no}: expected {count} values, got {len(tokens)}")
+        return values(line_no, tokens, kind, nv)
+
+    header = lines[0].split() if lines else []
+    if len(header) != 3 or header[0] != "MESH4":
+        raise ConfigError(f"{path}:1: not a MESH4 file")
+    nv, nf = values(1, header[1:], int)
+    if nv < 0 or nf < 0:
+        raise ConfigError(f"{path}:1: negative vertex or face count")
+    verts = np.array([row(2 + i, 4, float) for i in range(nv)], dtype=float)
+    faces = np.array([row(2 + nv + i, 3, int, nv) for i in range(nf)], dtype=np.int64)
+    fixed = np.zeros(nv, dtype=bool)
+    for line_no in range(2 + nv + nf, len(lines) + 1):
+        tokens = lines[line_no - 1].split()
+        if not tokens:
+            continue
+        if tokens[0] != "B":
+            raise ConfigError(f"{path}:{line_no}: unexpected trailing line "
+                              f"{lines[line_no - 1]!r}")
+        fixed[values(line_no, tokens[1:], int, nv)] = True
+    try:
+        return TriMesh4(verts, faces, fixed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

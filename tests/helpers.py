@@ -5,6 +5,9 @@ characteristic-angle oracle minimizes over vector pairs per the
 definition, the quadruple-wedge oracle expands xi ^ xi with explicit
 permutation signs, and the critical-scale oracle rescans every dyadic
 scale from the origin instead of following the process's centers.
+The shadow-bitmap and area-gradient oracles are the straightforward
+per-triangle loop and structure-tensor/``np.add.at`` forms that the
+vectorised production kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -124,3 +127,56 @@ def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
         if d > eps + 2.0 * e.resolution / s:
             return s
         n += 1
+
+
+def shadow_bitmap_oracle(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
+                         cell: float) -> np.ndarray:
+    """Per-triangle rasterizer: same grid and cell rule as ``surfaces._shadow_bitmap``."""
+    nx, ny = shape
+    bitmap = np.zeros((nx, ny), dtype=bool)
+    for t in tris:
+        d = (t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1]) - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0])
+        if abs(d) < 1e-30:
+            continue                                # degenerate shadow, measure zero
+        i0 = max(0, int(np.floor((t[:, 0].min() - lo[0]) / cell)))
+        i1 = min(nx - 1, int(np.ceil((t[:, 0].max() - lo[0]) / cell)))
+        j0 = max(0, int(np.floor((t[:, 1].min() - lo[1]) / cell)))
+        j1 = min(ny - 1, int(np.ceil((t[:, 1].max() - lo[1]) / cell)))
+        if i1 < i0 or j1 < j0:
+            continue
+        cx = lo[0] + (np.arange(i0, i1 + 1) + 0.5) * cell
+        cy = lo[1] + (np.arange(j0, j1 + 1) + 0.5) * cell
+        x, y = np.meshgrid(cx, cy, indexing="ij")
+        b1 = ((t[1, 0] - t[0, 0]) * (y - t[0, 1]) - (t[1, 1] - t[0, 1]) * (x - t[0, 0])) / d
+        b2 = ((t[2, 0] - t[1, 0]) * (y - t[1, 1]) - (t[2, 1] - t[1, 1]) * (x - t[1, 0])) / d
+        b3 = ((t[0, 0] - t[2, 0]) * (y - t[2, 1]) - (t[0, 1] - t[2, 1]) * (x - t[2, 0])) / d
+        inside = (b1 >= -1e-12) & (b2 >= -1e-12) & (b3 >= -1e-12)
+        bitmap[i0:i1 + 1, j0:j1 + 1] |= inside
+    return bitmap
+
+
+# wedge coefficients -> antisymmetric matrix, as a (6, 4, 4) structure tensor
+_STRUCT = np.zeros((6, 4, 4))
+for _k, (_i, _j) in enumerate(exterior.BASIS):
+    _STRUCT[_k, _i, _j] = 1.0
+    _STRUCT[_k, _j, _i] = -1.0
+
+
+def area_gradient_oracle(verts: np.ndarray, faces: np.ndarray):
+    """Mesh area and its vertex gradient via einsum and ``np.add.at``."""
+    p = verts[faces]
+    u = p[:, 1] - p[:, 0]
+    v = p[:, 2] - p[:, 0]
+    w = exterior.wedge(u, v)
+    n = np.sqrt(np.sum(w * w, axis=1))
+    total = 0.5 * float(np.sum(n))
+    safe = np.maximum(n, 1e-30)
+    wm = np.einsum("fk,kab->fab", w, _STRUCT)
+    g1 = np.einsum("fab,fb->fa", wm, v) / (2.0 * safe[:, None])
+    g2 = -np.einsum("fab,fb->fa", wm, u) / (2.0 * safe[:, None])
+    g0 = -(g1 + g2)
+    grad = np.zeros_like(verts)
+    np.add.at(grad, faces[:, 0], g0)
+    np.add.at(grad, faces[:, 1], g1)
+    np.add.at(grad, faces[:, 2], g2)
+    return total, grad

@@ -121,6 +121,24 @@ def test_plateau_small_run(tmp_path):
     row = dict(zip(header, rows[0]))
     assert row["verdict"] == "improved"
     assert (out / "final_0p2.mesh4").exists()
+    record = (out / "record.txt").read_text().splitlines()
+    assert record[record.index("stopped") + 1] == "  0.2 max-iters"
+    gnorm = record[record.index("grad_norm") + 1].split()
+    assert gnorm[0] == "0.2" and float(gnorm[1]) > 0.0
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0 0 0 0\n1 0 0\n0 1 0 0\n0 1 2\n", 3),       # short vertex line
+    ("0 0 0 0\n1 0 0 0\n0 1 zero 0\n0 1 2\n", 4),  # non-numeric token
+    ("0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 3\n", 5),     # face index out of range
+])
+def test_scan_malformed_mesh_is_config_error(tmp_path, capsys, body, line):
+    mesh_path = tmp_path / "bad.mesh4"
+    mesh_path.write_text("MESH4 3 1\n" + body)
+    rc = run_command(["scan", "--mesh", str(mesh_path), "--eps", "0.01",
+                      "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"configuration error: {mesh_path}:{line}: " in capsys.readouterr().err
 
 
 def test_unknown_flag_exit_code(tmp_path, capsys):

@@ -5,6 +5,8 @@ from planes4 import grassmann as gr
 from planes4 import plateau as pl
 from planes4 import surfaces as sf
 
+from helpers import area_gradient_oracle
+
 ORTH = (np.pi / 2, np.pi / 2)
 
 
@@ -67,6 +69,52 @@ def test_pinched_rejects_degenerate_connector():
 
 
 # -------------------------------------------------------------- optimizer
+
+def _perturbed(mesh, rng, scale):
+    verts = mesh.vertices.copy()
+    free = ~mesh.fixed
+    verts[free] += scale * rng.normal(size=(int(free.sum()), 4))
+    return verts
+
+
+def test_area_gradient_matches_oracle_bitwise():
+    rng = np.random.default_rng(71)
+    meshes = [pl.build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 256),
+              pl.build_pinched_competitor(*ORTH, 0.05, 256),
+              pl.build_union_mesh(0.4, 0.9, 64)]
+    for m in meshes:
+        for scale in (0.0, 1e-3, 3e-2):
+            verts = _perturbed(m, rng, scale)
+            total, grad = pl._area_and_gradient(verts, m.faces)
+            want_total, want_grad = area_gradient_oracle(verts, m.faces)
+            assert total == want_total
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+def test_area_gradient_central_differences():
+    # the area here is the Lagrange identity |u ^ v|^2 = |u|^2 |v|^2 - (u.v)^2,
+    # independent of both the wedge-based kernel and its oracle
+    def lagrange_area(verts, faces):
+        p = verts[faces]
+        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        uu, vv, uv = (u * u).sum(1), (v * v).sum(1), (u * v).sum(1)
+        return 0.5 * np.sqrt(uu * vv - uv * uv).sum()
+
+    rng = np.random.default_rng(72)
+    m = pl.build_pinched_competitor(np.pi / 6, np.pi / 3, 0.2, 32)
+    verts = _perturbed(m, rng, 1e-2)
+    _, grad = pl._area_and_gradient(verts, m.faces)
+    h = 1e-5
+    fd = np.empty_like(verts)
+    for i in range(len(verts)):
+        for c in range(4):
+            up, dn = verts.copy(), verts.copy()
+            up[i, c] += h
+            dn[i, c] -= h
+            fd[i, c] = (lagrange_area(up, m.faces) - lagrange_area(dn, m.faces)) / (2 * h)
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
 
 def test_minimize_flat_disk_is_stationary():
     m = pl.build_union_mesh(*ORTH, 64)
@@ -140,6 +188,7 @@ def test_experiment_orthogonal_unpinched_certified():
                               optimizer=pl.OptimizerConfig(max_iters=30))
     rep = pl.run_experiment(cfg)
     assert rep.verdict == "certified-optimal"
+    assert rep.stopped == "converged" and rep.grad_norm < cfg.optimizer.tol_grad
     assert rep.final_area <= rep.initial_area + 1e-12
     assert rep.shadows_cover == (True, True)
     assert rep.certificate_bound <= rep.final_area + rep.tolerance
@@ -151,6 +200,7 @@ def test_experiment_small_angle_pinch_improves():
                               optimizer=pl.OptimizerConfig(max_iters=30))
     rep = pl.run_experiment(cfg)
     assert rep.verdict == "improved"
+    assert rep.stopped == "max-iters" and rep.grad_norm > cfg.optimizer.tol_grad
     assert rep.final_area < 2 * np.pi - 5e-2
 
 

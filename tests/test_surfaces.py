@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planes4 import exterior as ex
 from planes4 import grassmann as gr
 from planes4 import surfaces as sf
+from planes4.errors import ConfigError
 
-from helpers import fan_disk, random_rotation
+from helpers import fan_disk, random_rotation, shadow_bitmap_oracle
 
 
 def single_triangle(a, b, c, fixed=None):
@@ -152,6 +157,123 @@ def test_shadow_rejects_low_resolution():
         sf.shadow_area(fan_disk(32, gr.P01), gr.P01, 32)
 
 
+@pytest.mark.parametrize("pinch", [0.05, 0.2])
+def test_shadow_bitmap_matches_oracle_on_descended_competitor(pinch):
+    from planes4.plateau import OptimizerConfig, build_pinched_competitor, minimize_area
+    a = np.pi / 6
+    m = build_pinched_competitor(a, a, pinch, 256)
+    m = minimize_area(m, OptimizerConfig(max_iters=5)).mesh
+    cell = 1.0 / 256
+    for plane in gr.canonical_pair(a, a):
+        tris = (m.vertices @ plane.basis.T)[m.faces]
+        lo = tris.reshape(-1, 2).min(axis=0) - cell
+        hi = tris.reshape(-1, 2).max(axis=0) + cell
+        shape = tuple(int(np.ceil((hi[k] - lo[k]) / cell)) + 1 for k in range(2))
+        got = sf._shadow_bitmap(tris, lo, shape, cell)
+        assert np.array_equal(got, shadow_bitmap_oracle(tris, lo, shape, cell))
+        assert float(got.sum()) * cell * cell == sf.shadow_area(m, plane, 256)
+
+
+# grid for the property cases: 64 cells per unit over about [-1, 1]^2, with
+# the centres of row and column 64 at exactly 0; coordinates reach past
+# the grid, so batches are clipped at its edge
+_GRID_CELL = 1.0 / 64
+_GRID_LO, _GRID_SHAPE = np.full(2, -64.5 * _GRID_CELL), (130, 130)
+_coord = st.floats(-1.3, 1.3, allow_nan=False)
+_point = st.tuples(_coord, _coord).map(np.array)
+
+
+def _centre(k):
+    return _GRID_LO + (np.asarray(k) + 0.5) * _GRID_CELL
+
+
+@st.composite
+def _general(draw):
+    return np.array([draw(_point) for _ in range(3)])
+
+
+@st.composite
+def _sliver(draw):
+    p0, p1 = draw(_point), draw(_point)
+    t = draw(st.floats(-0.5, 1.5))
+    gap = draw(st.sampled_from([0.0, 1e-300, 1e-20, 1e-14, 1e-10, 1e-6, 1e-3]))
+    e = p1 - p0
+    return np.array([p0, p1, p0 + t * e + gap * np.array([-e[1], e[0]])])
+
+
+@st.composite
+def _axis_sliver(draw):
+    # a thin triangle on the centre row y = 0 (or column x = 0): its
+    # |d| = |b - a| * width straddles the 1e-30 skip threshold
+    a, b, c = (draw(st.floats(-1.2, 1.2)) for _ in range(3))
+    width = draw(st.sampled_from([1e-300, 1e-40, 1e-31, 1e-29, 1e-20]))
+    tri = np.array([[a, 0.0], [b, 0.0], [c, width]])
+    return tri[:, ::-1] if draw(st.booleans()) else tri
+
+
+@st.composite
+def _tiny(draw):
+    # |d| = scale^2 * |cross| straddles the 1e-30 skip threshold
+    p0 = draw(_point)
+    scale = draw(st.floats(1e-17, 1e-14))
+    offs = np.array([[0.0, 0.0], [draw(st.floats(0.1, 1)), 0.0],
+                     [draw(st.floats(-1, 1)), draw(st.floats(0.1, 1))]])
+    return p0 + scale * offs
+
+
+@st.composite
+def _on_centres(draw):
+    # vertices at cell centres, moved by at most 1e-11: edges pass through
+    # centres or within the -1e-12 barycentric slack of them
+    k = st.integers(-3, 132)
+    nudge = st.sampled_from([0.0, 1e-14, -1e-13, 1e-12, -1e-12, 5e-12, -1e-11])
+    return np.array([_centre([draw(k), draw(k)]) + [draw(nudge), draw(nudge)]
+                     for _ in range(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_general(), _sliver(), _axis_sliver(), _tiny(), _on_centres()),
+                min_size=1, max_size=12))
+def test_shadow_bitmap_matches_oracle_on_edge_cases(tris):
+    tris = np.array(tris)
+    got = sf._shadow_bitmap(tris, _GRID_LO, _GRID_SHAPE, _GRID_CELL)
+    assert np.array_equal(got, shadow_bitmap_oracle(tris, _GRID_LO, _GRID_SHAPE, _GRID_CELL))
+
+
+def _marked(tris):
+    tris = np.asarray(tris, dtype=float)
+    got = sf._shadow_bitmap(tris, _GRID_LO, _GRID_SHAPE, _GRID_CELL)
+    assert np.array_equal(got, shadow_bitmap_oracle(tris, _GRID_LO, _GRID_SHAPE, _GRID_CELL))
+    return got
+
+
+def test_shadow_bitmap_skips_measure_zero_shadows():
+    assert not _marked([[[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]],
+                        [[0.1, 0.1], [0.1 + 1e-16, 0.1], [0.1, 0.1 + 1e-16]]]).any()
+    # a sliver on the centre row y = 0 covers its 39 centres with |x| < 0.3,
+    # but only counts once |d| reaches 1e-30
+    assert not _marked([[[-0.3, 0.0], [0.3, 0.0], [0.0, 1e-31]]]).any()
+    assert _marked([[[-0.3, 0.0], [0.3, 0.0], [0.0, 1e-29]]])[:, 64].sum() == 39
+
+
+def test_shadow_bitmap_barycentric_slack_on_every_edge():
+    # the centre row 70 lies 4 * delta below edge AB of height 1/4, so its
+    # barycentric there is -4 * delta: inside the -1e-12 slack or not
+    for delta, kept in ((1.25e-13, True), (1.25e-12, False)):
+        a = _centre([60, 70]) + [0.0, delta]
+        b = _centre([80, 70]) + [0.0, delta]
+        c = _centre([70, 70]) + [0.0, 0.25]
+        for tri in ([a, b, c], [b, c, a], [c, a, b]):
+            assert _marked([tri])[61:80, 70].all() == kept
+
+
+def test_shadow_bitmap_clips_at_grid_edge():
+    assert _marked([[[-5.0, -5.0], [5.0, -5.0], [0.0, 5.0]]]).all()
+    assert not _marked([[[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]]]).any()
+    corner = _marked([[[0.9, 0.9], [1.5, 0.9], [0.9, 1.5]]])
+    assert corner[-1, -1] and corner.sum() == 8 * 8
+
+
 # --------------------------------------------------- projection inequality
 
 def test_projection_report_orthogonal_disks():
@@ -285,6 +407,45 @@ def test_mesh4_roundtrip(tmp_path):
     assert np.array_equal(m.vertices, m2.vertices)
     assert np.array_equal(m.faces, m2.faces)
     assert np.array_equal(m.fixed, m2.fixed)
+
+
+def test_mesh4_writer_exact_bytes(tmp_path):
+    verts = [[-0.0, 0.0, 1.0, 1e-300], [2.0, 0.0, 0.0, -3.0],
+             [0.0, 0.1, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+    m = sf.TriMesh4(np.array(verts), np.array([[0, 1, 2], [1, 2, 3]]), np.ones(4, bool))
+    path = tmp_path / "small.mesh4"
+    sf.write_mesh4(path, m)
+    assert path.read_bytes() == (b"MESH4 4 2\n"
+                                 b"-0 0 1 1e-300\n"
+                                 b"2 0 0 -3\n"
+                                 b"0 0.10000000000000001 0 0\n"
+                                 b"1 1 1 1\n"
+                                 b"0 1 2\n"
+                                 b"1 2 3\n"
+                                 b"B 0 1 2 3\n")
+
+
+# each malformed file and the line its error must name
+BAD_MESH4 = {
+    "short-vertex-line": ("MESH4 3 1\n0 0 0 0\n1 0 0\n0 1 0 0\n0 1 2\n", 3),
+    "non-numeric-token": ("MESH4 3 1\n0 0 x 0\n1 0 0 0\n0 1 0 0\n0 1 2\n", 2),
+    "non-finite-token": ("MESH4 3 1\n0 0 0 0\n1 0 nan 0\n0 1 0 0\n0 1 2\n", 3),
+    "face-index-out-of-range": ("MESH4 3 1\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 3\n", 5),
+    "fractional-face-index": ("MESH4 3 1\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2.0\n", 5),
+    "long-face-line": ("MESH4 3 1\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2 0\n", 5),
+    "file-ends-early": ("MESH4 3 2\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2\n", 6),
+    "boundary-index-out-of-range": ("MESH4 3 1\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2\nB 0 7\n", 6),
+    "bad-header-count": ("MESH4 3 one\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MESH4))
+def test_mesh4_reader_names_file_and_line(tmp_path, case):
+    text, line = BAD_MESH4[case]
+    path = tmp_path / "bad.mesh4"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}:{line}: ")):
+        sf.read_mesh4(path)
 
 
 def test_mesh4_rejects_garbage(tmp_path):
