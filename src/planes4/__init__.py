@@ -14,6 +14,21 @@ The package is organized by subject:
 
 __version__ = "0.1.0"
 
+import os
+
 from .errors import ConfigError, NumericalError
 
-__all__ = ["ConfigError", "NumericalError", "__version__"]
+__all__ = ["ConfigError", "NumericalError", "__version__", "thread_count"]
+
+
+def thread_count() -> int:
+    """Worker threads from ``PLANES4_THREADS``: a positive integer, else 1.
+
+    One cap for every parallel path (the plateau pinch sweep and the
+    scanner's kd-tree queries); results are identical at any setting.
+    """
+    raw = os.environ.get("PLANES4_THREADS", "")
+    try:
+        return max(1, int(raw)) if raw else 1
+    except ValueError:
+        return 1

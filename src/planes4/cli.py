@@ -16,7 +16,7 @@ Flags are long-form only; a ``--config`` file in flat key=value form may
 supply any flag (command-line values win).  All randomness is drawn from
 SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
 so runs reproduce bit-for-bit across platforms and ports.  The env var
-PLANES4_THREADS caps sweep parallelism.
+PLANES4_THREADS caps sweep parallelism and kd-tree query threads.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, annulus, bounds, exterior, grassmann, plateau, scanner
+from . import __version__, annulus, bounds, exterior, grassmann, plateau, scanner, thread_count
 from .errors import ConfigError, NumericalError
 from .rng import SplitMix64
 from .surfaces import write_mesh4
@@ -94,14 +93,6 @@ def _write_record(out: Path, digest: str, command: str, payload: dict) -> None:
 
     emit(payload, 0)
     (out / "record.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _sweep_workers() -> int:
-    raw = os.environ.get("PLANES4_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------- bounds
@@ -239,6 +230,9 @@ def _cmd_scan(args) -> dict:
         "eps": rep.eps, "floor": rep.floor, "resolution": rep.resolution,
         "stopped": rep.stopped, "floor_hit": rep.floor_hit,
         "steps": len(rep.steps),
+        "window_points": [s.window_points for s in rep.steps],
+        "candidates": [s.candidates for s in rep.steps],
+        "rejected_early": [s.rejected_early for s in rep.steps],
     }
     if rep.stopped:
         record["o_k"] = rep.o_k
@@ -265,7 +259,7 @@ def _cmd_plateau(args, out: Path) -> dict:
             seed=args.seed, resolution=args.resolution)
         return plateau.run_experiment(cfg)
 
-    workers = min(_sweep_workers(), len(pinches))
+    workers = min(thread_count(), len(pinches))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run, pinches))

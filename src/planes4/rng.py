@@ -43,9 +43,6 @@ class SplitMix64:
         """Uniform double in [0, 1)."""
         return self.next_u64() / 2.0**64
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
-
     def normal(self) -> float:
         """One standard normal via Box-Muller (second deviate discarded)."""
         u1 = self.uniform()

@@ -22,12 +22,11 @@ reports floor_hit instead.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from . import thread_count
 from .grassmann import Plane
 from .surfaces import TriMesh4
 
@@ -71,6 +70,9 @@ class ScanStep:
     carried: float               # distance to the pair translated by this center
     best_q: np.ndarray
     best_dist: float
+    window_points: int           # sample points in D(center, scale)
+    candidates: int              # translates the search evaluated
+    rejected_early: int          # of those, rejected before a full evaluation
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,7 @@ def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,
     fc = bicylinder_clip(f, p1, p2, x, r)
     if not len(ec) and not len(fc):
         return 0.0
+    from scipy.spatial import cKDTree
     d = 0.0
     if len(ec):
         d = max(d, float(cKDTree(f.points).query(ec)[0].max()))
@@ -134,17 +137,14 @@ def _complement_basis(plane: Plane) -> np.ndarray:
     return q.T[2:4]
 
 
-def _workers() -> int:
-    raw = os.environ.get("PLANES4_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else -1
-    except ValueError:
-        return -1
-
-
 #: cap on window points driving the translate search; the returned distance
 #: is always re-evaluated exactly on the full window
 _SEARCH_POINT_CAP = 150_000
+
+#: lattice points per kd-tree query and window points per set-side block
+#: when a search candidate is evaluated against the incumbent
+_LATTICE_CHUNK = 512
+_SET_CHUNK = 16_384
 
 
 class _PairGeometry:
@@ -157,38 +157,55 @@ class _PairGeometry:
         pts = e.points
         self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
         self.normal = (pts @ self.comp[0].T, pts @ self.comp[1].T)
-        self.tree = cKDTree(pts)
+        self._tree = None
 
-    def window_mask(self, x: np.ndarray, r: float) -> np.ndarray:
+    @property
+    def tree(self):
+        """kd-tree of the whole sample, built on first use."""
+        if self._tree is None:
+            from scipy.spatial import cKDTree
+            self._tree = cKDTree(self.e.points)
+        return self._tree
+
+    def window_index(self, x: np.ndarray, r: float,
+                     within: np.ndarray | None = None) -> np.ndarray:
+        """Ascending indices of the sample points inside D(x, r).
+
+        Only the points of ``within`` (ascending indices, all points when
+        None) are tested, so it must hold every point of D(x, r); each
+        point's test is the same arithmetic either way.
+        """
         b1 = x @ self.planes[0].basis.T
         b2 = x @ self.planes[1].basis.T
-        m1 = np.hypot(self.inplane[0][:, 0] - b1[0], self.inplane[0][:, 1] - b1[1]) <= r
-        m1 &= np.hypot(self.inplane[1][:, 0] - b2[0], self.inplane[1][:, 1] - b2[1]) <= r
-        return m1
+        a, c = self.inplane
+        if within is not None:
+            a, c = a[within], c[within]
+        m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
+        m &= np.hypot(c[:, 0] - b2[0], c[:, 1] - b2[1]) <= r
+        return np.flatnonzero(m) if within is None else within[m]
 
-    def window(self, x: np.ndarray, r: float) -> np.ndarray:
-        return self.e.points[self.window_mask(x, r)]
-
-    def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """Sup over points of the distance to the pair translated by each q.
+    def pair_dist(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Distance (len(qs), m) of each point to the pair translated by each q.
 
         n1, n2 are the points' complement coordinates (m, 2) per plane; the
-        translate only shifts those coordinates by q's, so the exact sup of
-        min-plane distances vectorizes over a whole batch of candidates.
+        translate only shifts those coordinates by q's.
         """
+        b1 = qs @ self.comp[0].T                     # (k, 2)
+        b2 = qs @ self.comp[1].T
+        d1 = np.hypot(n1[None, :, 0] - b1[:, 0, None],
+                      n1[None, :, 1] - b1[:, 1, None])
+        d2 = np.hypot(n2[None, :, 0] - b2[:, 0, None],
+                      n2[None, :, 1] - b2[:, 1, None])
+        return np.minimum(d1, d2)
+
+    def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Sup over points of the distance to the pair translated by each q."""
         qs = np.atleast_2d(qs)
         if not len(n1):
             return np.zeros(len(qs))
         out = np.empty(len(qs))
         for s in range(0, len(qs), 16):              # cap the (batch, m) temporaries
-            qc = qs[s:s + 16]
-            b1 = qc @ self.comp[0].T                 # (k, 2)
-            b2 = qc @ self.comp[1].T
-            d1 = np.hypot(n1[None, :, 0] - b1[:, 0, None],
-                          n1[None, :, 1] - b1[:, 1, None])
-            d2 = np.hypot(n2[None, :, 0] - b2[:, 0, None],
-                          n2[None, :, 1] - b2[:, 1, None])
-            out[s:s + 16] = np.minimum(d1, d2).max(axis=1)
+            out[s:s + 16] = self.pair_dist(n1, n2, qs[s:s + 16]).max(axis=1)
         return out
 
     def pair_lattice(self, x: np.ndarray, r: float, q: np.ndarray,
@@ -205,69 +222,115 @@ class _PairGeometry:
             pts.append(y[bicylinder_mask(y, *self.planes, x, r)])
         return np.vstack(pts)
 
-    def window_ctx(self, x: np.ndarray, r: float, spacing: float) -> "_WindowCtx":
-        return _WindowCtx(self, np.asarray(x, dtype=float), r, spacing)
-
-    def objective(self, x: np.ndarray, r: float, q: np.ndarray,
-                  mask: np.ndarray, spacing: float) -> float:
-        """Exact (full-window) relative distance to the pair translated by q."""
-        return self.window_ctx(x, r, spacing).exact_value(q, mask)
+    def window_ctx(self, x: np.ndarray, r: float, spacing: float,
+                   within: np.ndarray | None = None) -> "_WindowCtx":
+        return _WindowCtx(self, np.asarray(x, dtype=float), r, spacing, within)
 
 
 class _WindowCtx:
-    """One scan window: cached clip, search subsample, and a local kd-tree.
+    """One scan window: its points, search subsample, and a local kd-tree.
 
     The local tree holds the sample points inside D(x, 2r); for a query
     point inside D(x, r) whose nearest sample lies outside D(x, 2r) the
     true distance exceeds r, so any local answer <= r is already exact and
-    larger ones fall back to the full tree.
+    larger ones fall back to the full tree.  ``within`` (ascending indices
+    holding every point of D(x, 2r)) narrows the window masks to a parent
+    window's points.  ``candidates`` and ``rejected_early`` count the
+    search's evaluations in this window.
     """
 
-    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float, spacing: float):
+    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float, spacing: float,
+                 within: np.ndarray | None = None):
         self.geom = geom
         self.x = x
         self.r = r
         self.spacing = spacing
-        self.mask = geom.window_mask(x, r)
-        idx = np.flatnonzero(self.mask)
-        stride = max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))
-        sub = idx[::stride]
+        self.wide = geom.window_index(x, 2.0 * r, within)
+        self.idx = geom.window_index(x, r, self.wide)
+        stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
+        sub = self.idx[::stride]
         self.n1 = geom.normal[0][sub]
         self.n2 = geom.normal[1][sub]
-        wide = geom.window_mask(x, 2.0 * r)
-        if wide.all():
+        self.local_is_full = len(self.wide) == len(geom.e.points)
+        if self.local_is_full:
             self.local_tree = geom.tree
+        elif len(self.wide):
+            from scipy.spatial import cKDTree
+            self.local_tree = cKDTree(geom.e.points[self.wide])
         else:
-            pts = geom.e.points[wide]
-            self.local_tree = cKDTree(pts) if len(pts) else None
+            self.local_tree = None
+        self.candidates = 0
+        self.rejected_early = 0
+        self._probe = 0              # lattice index that rejected the last candidate
+
+    def nearest(self, lat: np.ndarray) -> np.ndarray:
+        """Distance from each lattice point to the whole sample."""
+        workers = thread_count()
+        if self.local_tree is None:
+            return self.geom.tree.query(lat, workers=workers)[0]
+        d = self.local_tree.query(lat, workers=workers)[0]
+        far = d > self.r
+        if far.any() and not self.local_is_full:
+            d[far] = self.geom.tree.query(lat[far], workers=workers)[0]
+        return d
 
     def lattice_sup(self, q: np.ndarray) -> float:
         lat = self.geom.pair_lattice(self.x, self.r, q, self.spacing)
         if not len(lat):
             return 0.0
-        if self.local_tree is None:
-            d = self.geom.tree.query(lat, workers=_workers())[0]
-            return float(d.max())
-        d = self.local_tree.query(lat, workers=_workers())[0]
-        far = d > self.r
-        if far.any() and self.local_tree is not self.geom.tree:
-            d[far] = self.geom.tree.query(lat[far], workers=_workers())[0]
-        return float(d.max())
+        return float(self.nearest(lat).max())
 
     def set_sup(self, qs: np.ndarray) -> np.ndarray:
         """Lower bound side: sup over (subsampled) window points to pair + q."""
         return self.geom.sup_to_pair(self.n1, self.n2, qs)
 
-    def search_value(self, q: np.ndarray) -> float:
-        d = float(self.set_sup(q)[0])
-        return max(d, self.lattice_sup(q)) / self.r
+    def beats(self, q: np.ndarray, best_d: float, lo: float | None = None) -> float | None:
+        """Search value at q if it is below best_d - 1e-15, else None.
 
-    def exact_value(self, q: np.ndarray, mask: np.ndarray | None = None) -> float:
-        m = self.mask if mask is None else mask
+        The value is max(set_sup, lattice_sup) / r, and ``lo`` is its set
+        side when the caller has it.  The lattice side goes first, starting
+        at the lattice index that rejected the previous candidate, then both
+        sides in blocks.  Partial sups only grow and division by r is
+        monotone, so a partial sup that misses the bar rejects q, and a q
+        that survives every block has the very value a full evaluation
+        gives.
+        """
+        self.candidates += 1
+        bar = best_d - 1e-15
+        r = self.r
+        m = 0.0 if lo is None else lo
+        if m / r >= bar:
+            self.rejected_early += 1
+            return None
+        lat = self.geom.pair_lattice(self.x, r, q, self.spacing)
+        if len(lat):
+            p = min(self._probe, len(lat) - 1)
+            blocks = [(p, p + 1)]
+            blocks += [(a, a + _LATTICE_CHUNK) for a in range(0, len(lat), _LATTICE_CHUNK)]
+            for a, b in blocks:
+                d = self.nearest(lat[a:b])
+                k = int(np.argmax(d))
+                m = max(m, float(d[k]))
+                if m / r >= bar:
+                    self._probe = a + k
+                    self.rejected_early += 1
+                    return None
+        if lo is None:
+            q2 = q[None, :]
+            for a in range(0, len(self.n1), _SET_CHUNK):
+                d = self.geom.pair_dist(self.n1[a:a + _SET_CHUNK],
+                                        self.n2[a:a + _SET_CHUNK], q2)
+                m = max(m, float(d.max()))
+                if m / r >= bar:
+                    self.rejected_early += 1
+                    return None
+        return m / r
+
+    def exact_value(self, q: np.ndarray) -> float:
         d = 0.0
-        if m.any():
+        if len(self.idx):
             d = float(self.geom.sup_to_pair(
-                self.geom.normal[0][m], self.geom.normal[1][m], q)[0])
+                self.geom.normal[0][self.idx], self.geom.normal[1][self.idx], q)[0])
         return max(d, self.lattice_sup(q)) / self.r
 
 
@@ -291,7 +354,7 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
 
 def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.ndarray, float]:
     x, r = ctx.x, ctx.r
-    if not ctx.mask.any():
+    if not len(ctx.idx):
         return x.copy(), 0.0
 
     half = r / 4.0
@@ -300,13 +363,14 @@ def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.nd
 
     # the set-to-pair sup is a lower bound on the objective: evaluate coarse
     # candidates in that order and skip any that cannot win
-    lowers = ctx.set_sup(grid) / r
+    sups = ctx.set_sup(grid)
+    lowers = sups / r
     best_q, best_d = None, np.inf
     for k in np.argsort(lowers, kind="stable"):
         if lowers[k] >= best_d:
             continue
-        d = ctx.search_value(grid[k])
-        if d < best_d - 1e-15:
+        d = ctx.beats(grid[k], best_d, lo=float(sups[k]))
+        if d is not None:
             best_q, best_d = grid[k].copy(), d
 
     step = half / max(search.grid_n - 1, 1)
@@ -318,10 +382,8 @@ def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.nd
                 q[coord] += sign * step
                 if np.max(np.abs(q - x)) > half + 1e-15:
                     continue
-                if float(ctx.set_sup(q)[0]) / r >= best_d:
-                    continue
-                d = ctx.search_value(q)
-                if d < best_d - 1e-15:
+                d = ctx.beats(q, best_d)
+                if d is not None:
                     improved += best_d - d
                     best_q, best_d = q, d
         if improved < search.tol:
@@ -364,15 +426,20 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
 
     n = 1
     q = origin.copy()
+    within = None
     while True:
         s = 2.0 ** (-n)
         if s < floor:
             floor_hit = True
             break
-        ctx = geom.window_ctx(q, s, 2.0 * s / search.plane_points)
+        # |q_{n+1} - q_n|_inf <= s_n / 4 moves each in-plane projection by
+        # at most s_n / 2, so D(q_{n+1}, 2 s_{n+1}) lies inside D(q_n, 2 s_n)
+        # and each window is cut from its parent's wide point set
+        ctx = geom.window_ctx(q, s, 2.0 * s / search.plane_points, within)
         carried = ctx.exact_value(q)
         best_q, best_d = _search_translate(ctx, search)
-        steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d))
+        steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
+                              len(ctx.idx), ctx.candidates, ctx.rejected_early))
         scales.append(s)
         if best_d > eps + 2.0 * e.resolution / s:
             stopped = True
@@ -387,6 +454,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
             break
         q = best_q
         centers.append(q.copy())
+        within = ctx.wide
         n += 1
 
     return ScanReport(

@@ -7,7 +7,9 @@ permutation signs, and the critical-scale oracle rescans every dyadic
 scale from the origin instead of following the process's centers.
 The shadow-bitmap and area-gradient oracles are the straightforward
 per-triangle loop and structure-tensor/``np.add.at`` forms that the
-vectorised production kernels must reproduce bit for bit.
+vectorised production kernels must reproduce bit for bit, and the
+translate-search oracle is the exhaustive search that the early-rejecting
+scanner search must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -180,3 +182,97 @@ def area_gradient_oracle(verts: np.ndarray, faces: np.ndarray):
     np.add.at(grad, faces[:, 1], g1)
     np.add.at(grad, faces[:, 2], g2)
     return total, grad
+
+
+def window_mask_oracle(geom, x: np.ndarray, r: float) -> np.ndarray:
+    """Bi-cylinder mask of D(x, r) over the whole sample, as the scanner tests points."""
+    b1 = x @ geom.planes[0].basis.T
+    b2 = x @ geom.planes[1].basis.T
+    a, c = geom.inplane
+    m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
+    m &= np.hypot(c[:, 0] - b2[0], c[:, 1] - b2[1]) <= r
+    return m
+
+
+def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
+                            search: TranslationSearch = TranslationSearch()):
+    """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
+
+    Every candidate gets its full set-side sup and a full lattice query;
+    the window masks run over the whole sample and the whole-sample
+    kd-tree is built up front.  Only the pair kernels ``sup_to_pair`` and
+    ``pair_lattice`` are shared with the production search.  ``carried``
+    is the exact window value at q = x.
+    """
+    from scipy.spatial import cKDTree
+
+    from planes4.scanner import _SEARCH_POINT_CAP, _PairGeometry
+
+    x = np.asarray(x, dtype=float)
+    geom = _PairGeometry(e, *planes)
+    tree = cKDTree(e.points)
+    spacing = 2.0 * r / search.plane_points
+    mask = window_mask_oracle(geom, x, r)
+    idx = np.flatnonzero(mask)
+    sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
+    n1, n2 = geom.normal[0][sub], geom.normal[1][sub]
+    wide = window_mask_oracle(geom, x, 2.0 * r)
+    if wide.all():
+        local = tree
+    else:
+        local = cKDTree(e.points[wide]) if wide.any() else None
+
+    def lattice_sup(q):
+        lat = geom.pair_lattice(x, r, q, spacing)
+        if not len(lat):
+            return 0.0
+        if local is None:
+            return float(tree.query(lat)[0].max())
+        d = local.query(lat)[0]
+        far = d > r
+        if far.any() and local is not tree:
+            d[far] = tree.query(lat[far])[0]
+        return float(d.max())
+
+    def value(q):
+        return max(float(geom.sup_to_pair(n1, n2, q)[0]), lattice_sup(q)) / r
+
+    def exact(q):
+        d = 0.0
+        if mask.any():
+            d = float(geom.sup_to_pair(geom.normal[0][mask], geom.normal[1][mask], q)[0])
+        return max(d, lattice_sup(q)) / r
+
+    if not mask.any():
+        return x.copy(), 0.0, exact(x)
+    half = r / 4.0
+    ax = np.linspace(-half, half, search.grid_n)
+    grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+    lowers = geom.sup_to_pair(n1, n2, grid) / r
+    best_q, best_d = None, np.inf
+    for k in np.argsort(lowers, kind="stable"):
+        if lowers[k] >= best_d:
+            continue
+        d = value(grid[k])
+        if d < best_d - 1e-15:
+            best_q, best_d = grid[k].copy(), d
+    step = half / max(search.grid_n - 1, 1)
+    for _ in range(search.max_rounds):
+        improved = 0.0
+        for coord in range(4):
+            for sign in (1.0, -1.0):
+                q = best_q.copy()
+                q[coord] += sign * step
+                if np.max(np.abs(q - x)) > half + 1e-15:
+                    continue
+                if float(geom.sup_to_pair(n1, n2, q)[0]) / r >= best_d:
+                    continue
+                d = value(q)
+                if d < best_d - 1e-15:
+                    improved += best_d - d
+                    best_q, best_d = q, d
+        if improved < search.tol:
+            step *= 0.5
+            if step < search.tol * r:
+                break
+    return best_q, exact(best_q), exact(x)

@@ -86,6 +86,14 @@ def test_scan_flat_mesh_hits_floor(tmp_path):
     record = (out / "record.txt").read_text()
     assert "floor_hit 1" in record
     assert "stopped 0" in record
+    fields = {line.split()[0]: line.split()[1:] for line in record.splitlines()}
+    steps = int(fields["steps"][0])
+    window_points, candidates, rejected = (
+        [int(v) for v in fields[k]] for k in ("window_points", "candidates", "rejected_early"))
+    assert len(window_points) == len(candidates) == len(rejected) == steps
+    # windows halve in radius about a nearly fixed centre, so they shrink
+    assert all(a > b > 0 for a, b in zip(window_points, window_points[1:]))
+    assert all(0 <= r < c for r, c in zip(rejected, candidates))
 
 
 def test_scan_detects_pinched_competitor_mesh(tmp_path):
@@ -186,15 +194,30 @@ def test_reproducible_csv_bytes(tmp_path):
 
 
 def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    base = ["plateau", "--alpha1", "1.5707963267948966",
-            "--alpha2", "1.5707963267948966",
-            "--pinch-sweep", "0.1,0.2", "--segments", "64", "--iters", "5"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    monkeypatch.delenv("PLANES4_THREADS", raising=False)
-    assert run_command(base + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("PLANES4_THREADS", "2")
-    assert run_command(base + ["--out", str(out2)]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    mesh_path = tmp_path / "flat.mesh4"
+    write_mesh4(mesh_path, build_union_mesh(np.pi / 2, np.pi / 2, 64))
+    commands = {
+        "plateau": ["plateau", "--alpha1", "1.5707963267948966",
+                    "--alpha2", "1.5707963267948966",
+                    "--pinch-sweep", "0.1,0.2", "--segments", "64", "--iters", "5"],
+        "scan": ["scan", "--mesh", str(mesh_path), "--eps", "0.01",
+                 "--density", "0.04"],
+    }
+    for name, base in commands.items():
+        out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        monkeypatch.delenv("PLANES4_THREADS", raising=False)
+        assert run_command(base + ["--out", str(out1)]) == 0
+        monkeypatch.setenv("PLANES4_THREADS", "2")
+        assert run_command(base + ["--out", str(out2)]) == 0
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes(), name
+
+
+def test_thread_count_parses_env(monkeypatch):
+    for raw, want in (("", 1), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
+        monkeypatch.setenv("PLANES4_THREADS", raw)
+        assert planes4.thread_count() == want, raw
+    monkeypatch.delenv("PLANES4_THREADS")
+    assert planes4.thread_count() == 1
 
 
 def _planes4_distribution():
@@ -204,15 +227,28 @@ def _planes4_distribution():
         return None
 
 
-def _module_cli(args, **kwargs):
-    # `python -m planes4` importing the same planes4 as this process,
-    # whatever the cwd and however PYTHONPATH was given
+def _child_python(args, **kwargs):
+    # a Python child importing the same planes4 as this process, whatever
+    # the cwd and however PYTHONPATH was given
     env = dict(os.environ)
     src = str(Path(planes4.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "planes4", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, **kwargs)
+
+
+def _module_cli(args, **kwargs):
+    return _child_python(["-m", "planes4", *args], **kwargs)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only the scanner's kd-tree builders import scipy.spatial, so
+    # subcommands that never build one do not pay for its import
+    r = _child_python(["-c", "import sys, planes4.cli; "
+                             "print('scipy.spatial' in sys.modules)"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(_planes4_distribution() is None,

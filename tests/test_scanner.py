@@ -1,10 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planes4 import grassmann as gr
 from planes4 import scanner as sc
+from planes4.plateau import build_pinched_competitor, build_union_mesh
 
-from helpers import brute_force_critical_scale
+from helpers import (brute_force_critical_scale, search_translate_oracle,
+                     window_mask_oracle)
 
 PLANES = (gr.P01, gr.P02)
 
@@ -125,6 +131,137 @@ def test_best_translation_deterministic():
     a = sc.best_translation(e, PLANES, np.zeros(4), 0.5)
     b = sc.best_translation(e, PLANES, np.zeros(4), 0.5)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+# ------------------------------------------ search against the exhaustive oracle
+
+@functools.cache
+def oracle_sample(name):
+    if name == "exact":
+        return small_plane_sample(1.2e-2)
+    if name == "translated":
+        v = np.array([0.01, -0.02, 0.015, 0.005])
+        return sc.SetSample(small_plane_sample(1.2e-2).points + v, 1.2e-2)
+    if name == "pinched":
+        return sc.pinched_pair_sample(0.1, 0.02, spacing=1.2e-2)
+    if name == "outlier":
+        # two points off both planes: the set side of the objective decides
+        off = np.array([[0.05, 0.02, 0.06, -0.01], [-0.04, 0.03, -0.02, 0.05]])
+        return sc.SetSample(np.vstack([small_plane_sample(1.2e-2).points, off]), 1.2e-2)
+    if name == "flat_mesh":
+        return sc.sample_mesh(build_union_mesh(np.pi / 2, np.pi / 2, 64), 0.04)
+    if name == "pinched_mesh":
+        return sc.sample_mesh(build_pinched_competitor(np.pi / 2, np.pi / 2, 0.2, 64), 0.06)
+    if name == "hole":
+        return hole_sample(0.1, with_core_point=True)
+    raise KeyError(name)
+
+
+def hole_sample(r, with_core_point):
+    """P01 lattice with a hole of radius 2.25 r at the origin, plus at most one point."""
+    w = sc._disc_lattice(0.02, 0.5, inner=2.25 * r)
+    pts = w @ gr.P01.basis
+    if with_core_point:
+        pts = np.vstack([pts, [0.8 * r, 0.0, 0.0, 0.0]])
+    return sc.SetSample(pts, 0.02)
+
+
+ORACLE_SAMPLES = ("exact", "translated", "pinched", "outlier", "flat_mesh", "pinched_mesh")
+
+
+def assert_search_matches_oracle(name, x, r):
+    e = oracle_sample(name)
+    search = sc.TranslationSearch(tol=1e-3)
+    q, d = sc.best_translation(e, PLANES, x, r, search)
+    oq, od, _ = search_translate_oracle(e, PLANES, x, r, search)
+    assert np.array_equal(q, oq), (name, x, r, q, oq)
+    assert d == od, (name, x, r, d, od)
+
+
+# the pinched mesh is the costliest sample: its only scale is the one
+# whose wide window holds the whole mesh, so the full tree is the local one
+@pytest.mark.parametrize("name,r", [(n, r) for n in ORACLE_SAMPLES[:-1] for r in (0.5, 0.25, 0.125)]
+                         + [("pinched_mesh", 0.5), ("hole", 0.1)])
+def test_search_bitwise_equals_exhaustive_oracle(name, r):
+    assert_search_matches_oracle(name, np.zeros(4), r)
+    assert_search_matches_oracle(name, np.array([0.03, -0.02, 0.01, 0.04]), r)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(ORACLE_SAMPLES[:-1]),
+       st.lists(st.floats(-0.15, 0.15), min_size=4, max_size=4),
+       st.sampled_from([0.5, 0.25, 0.0625]))
+def test_search_bitwise_equals_oracle_at_drawn_centres(name, x, r):
+    assert_search_matches_oracle(name, np.array(x), r)
+
+
+@pytest.mark.parametrize("name,eps,floor", [("exact", 0.05, 0.03),
+                                            ("pinched", 0.05, 0.03),
+                                            ("flat_mesh", 0.05, 0.08)])
+def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypatch):
+    e = oracle_sample(name)
+    made = []
+    window_ctx = sc._PairGeometry.window_ctx
+
+    def recording(geom, x, r, spacing, within=None):
+        ctx = window_ctx(geom, x, r, spacing, within)
+        made.append((geom, ctx, within is not None))
+        return ctx
+
+    monkeypatch.setattr(sc._PairGeometry, "window_ctx", recording)
+    rep = sc.epsilon_process(e, PLANES, eps, floor)
+    # every window after the first is cut from its parent's wide set, and
+    # the cut gives the full-sample masks' indices in their order
+    nested = [within for _, _, within in made[:len(rep.steps)]]
+    assert nested == [False] + [True] * (len(rep.steps) - 1)
+    for geom, ctx, _ in made:
+        assert np.array_equal(ctx.idx, np.flatnonzero(window_mask_oracle(geom, ctx.x, ctx.r)))
+        assert np.array_equal(ctx.wide,
+                              np.flatnonzero(window_mask_oracle(geom, ctx.x, 2.0 * ctx.r)))
+    search = sc.TranslationSearch(tol=1e-4 * eps)
+    for step, (_, ctx, _) in zip(rep.steps, made):
+        oq, od, carried = search_translate_oracle(e, PLANES, step.center, step.scale, search)
+        assert np.array_equal(step.best_q, oq) and step.best_dist == od, step.index
+        assert step.carried == carried, step.index
+        assert step.window_points == len(ctx.idx) > 0
+        # the first coarse candidate always wins; every other evaluation that
+        # did not improve the incumbent stopped early
+        assert 1 <= step.candidates - step.rejected_early <= step.candidates
+
+
+@pytest.mark.parametrize("with_core_point", [True, False])
+def test_lattice_fallback_builds_full_tree_and_matches_brute_force(with_core_point):
+    # with the core point, D(0, 2r) holds only it and lattice points on the
+    # far side of the window lie nearer the hole's rim (fallback); without
+    # it the wide window is empty and every query goes to the full tree
+    r = 0.1
+    e = hole_sample(r, with_core_point)
+    geom = sc._PairGeometry(e, *PLANES)
+    ctx = geom.window_ctx(np.zeros(4), r, 2.0 * r / 48)
+    assert len(ctx.wide) == int(with_core_point)
+    assert geom._tree is None
+    for q in (np.zeros(4), np.array([0.02, -0.01, 0.0, 0.01])):
+        lat = geom.pair_lattice(ctx.x, r, q, ctx.spacing)
+        brute = np.concatenate([
+            np.sqrt(((lat[a:a + 64, None] - e.points[None]) ** 2).sum(axis=2)).min(axis=1)
+            for a in range(0, len(lat), 64)])
+        if with_core_point:
+            local = np.linalg.norm(lat - e.points[-1], axis=1)
+            assert np.any(brute < local - 0.1 * r)      # the fallback changes answers
+        np.testing.assert_allclose(ctx.nearest(lat), brute, rtol=1e-12, atol=0)
+        assert ctx.lattice_sup(q) == pytest.approx(float(brute.max()), rel=1e-12)
+    assert geom._tree is not None
+    if with_core_point:
+        geom = sc._PairGeometry(e, *PLANES)
+        sc.best_translation(e, PLANES, np.zeros(4), r, _geom=geom)
+        assert geom._tree is not None           # the search took the fallback too
+
+
+def test_full_tree_is_lazy():
+    e = oracle_sample("pinched")
+    geom = sc._PairGeometry(e, *PLANES)
+    sc.best_translation(e, PLANES, np.zeros(4), 0.25, _geom=geom)
+    assert geom._tree is None
 
 
 # ----------------------------------------------------------- epsilon process
