@@ -3,13 +3,9 @@
 For planes P1, P2 with orthogonal projections p1, p2, the quantity of
 interest is |p1(xi)| + |p2(xi)| over unit simple 2-vectors xi.  For an
 orthogonal pair the supremum is 1; in general it is bounded by
-1 + 2 cos(alpha1).  The supremum search parametrizes unit simple
-2-vectors as wedge(x, y) with (x, y) an orthonormal pair, does a coarse
-grid pass and refines by coordinate ascent on the raw 8 parameters with
-Gram-Schmidt reduction.
-
-Measured suprema beyond the orthogonal case are reported as measurements;
-only the 1 + 2 cos(alpha1) upper bound is a proven statement.
+1 + 2 cos(alpha1), the one proven statement here.  The supremum itself
+has a closed form, the comass of xi1 +/- xi2 (see ``sup_projection_sum``),
+computed from two 4x4 singular value decompositions.
 """
 
 from __future__ import annotations
@@ -20,20 +16,6 @@ import numpy as np
 
 from . import exterior
 from .grassmann import Plane, characteristic_angles, projector
-from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    grid_n: int = 48            # grid density per angle coordinate
-    ascent_steps: int = 200     # coordinate-ascent sweeps
-    restarts: int = 8           # extra seeded random starts
-    initial_step: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grid_n < 16:
-            raise ValueError(f"grid density must be >= 16, got {self.grid_n}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +23,8 @@ class BoundReport:
     sup_value: float
     argmax: np.ndarray          # unit simple 2-vector achieving sup_value
     bound: float                # proven bound 1 + 2 cos(alpha1)
-    samples: int
-    refinement_iters: int
+    samples: int                # matrices A1 +/- A2 whose norms are taken: 2
+    refinement_iters: int       # iterations of refinement: 0, no search runs
 
 
 def wirtinger_bound(alpha1: float) -> float:
@@ -88,146 +70,27 @@ def projection_sums(p1: Plane, p2: Plane, xis: np.ndarray) -> np.ndarray:
     return np.abs(xis @ p1.bivector) + np.abs(xis @ p2.bivector)
 
 
-def _sphere3_grid(n: int) -> np.ndarray:
-    """Grid on the unit sphere of R^4 from spherical angles, n per coordinate."""
-    t1 = np.linspace(0.0, np.pi, n)
-    t2 = np.linspace(0.0, np.pi, n)
-    t3 = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    a, b, c = np.meshgrid(t1, t2, t3, indexing="ij")
-    return np.stack([
-        np.cos(a),
-        np.sin(a) * np.cos(b),
-        np.sin(a) * np.sin(b) * np.cos(c),
-        np.sin(a) * np.sin(b) * np.sin(c),
-    ], axis=-1).reshape(-1, 4)
+def sup_projection_sum(p1: Plane, p2: Plane) -> BoundReport:
+    """Supremum of the projection sum: max(||A1 + A2||_2, ||A1 - A2||_2).
 
-
-def _fiber_max(a1: np.ndarray, a2: np.ndarray, xs: np.ndarray):
-    """Exact max over unit y orthogonal to x of |x^T A1 y| + |x^T A2 y|.
-
-    For fixed x the objective is |<u, y>| + |<v, y>| with u = A1^T x,
-    v = A2^T x, both orthogonal to x; the maximum is max(|u+v|, |u-v|),
-    attained at the normalized sum/difference.  Returns (values, best y).
-    """
-    u = xs @ a1
-    v = xs @ a2
-    plus = np.linalg.norm(u + v, axis=-1)
-    minus = np.linalg.norm(u - v, axis=-1)
-    vals = np.maximum(plus, minus)
-    w = np.where((plus >= minus)[..., None], u + v, u - v)
-    wn = np.linalg.norm(w, axis=-1, keepdims=True)
-    # degenerate fiber (both functionals vanish): fall back to any unit normal
-    fallback = np.zeros_like(w)
-    fallback[..., 1] = 1.0
-    y = np.where(wn > 1e-14, w / np.where(wn > 1e-14, wn, 1.0), fallback)
-    return vals, y
-
-
-def _orthonormalize(x: np.ndarray, y: np.ndarray):
-    nx = np.linalg.norm(x)
-    if nx < 1e-14:
-        return None
-    x = x / nx
-    y = y - np.dot(y, x) * x
-    ny = np.linalg.norm(y)
-    if ny < 1e-14:
-        return None
-    return x, y / ny
-
-
-def sup_projection_sum(p1: Plane, p2: Plane, cfg: SearchConfig = SearchConfig()) -> BoundReport:
-    """Deterministic grid-then-ascent maximization of the projection sum.
-
-    Stage 1 grids the first member x of the orthonormal pair over sphere
-    angles (cfg.grid_n per coordinate) and maximizes exactly over the
-    second member.  Stage 2 refines the best grid point plus cfg.restarts
-    seeded random starts by coordinate ascent on the raw (x, y) pair with
-    Gram-Schmidt reduction and step halving.
+    Ai is the antisymmetric matrix of Pi, so xi = x ^ y with x, y orthonormal
+    gives |p1 xi| + |p2 xi| = |x.A1 y| + |x.A2 y| = max_{s=+-1} |x.(A1 + s A2) y|,
+    which is at most ||A1 + s A2||_2.  A top singular pair (u, v) of an
+    antisymmetric M is orthonormal (sigma u.v = -u.M u = 0), so u ^ v attains
+    it: the comass of xi1 +/- xi2 (Federer, GMT 1.8; Harvey-Lawson 1982).
+    Ties keep A1 + A2; argmax is the normalized u ^ v of the larger matrix.
     """
     a1m = exterior.antisymmetric_matrix(p1.bivector)
     a2m = exterior.antisymmetric_matrix(p2.bivector)
-
-    xs = _sphere3_grid(cfg.grid_n)
-    vals, ys = _fiber_max(a1m, a2m, xs)
-    best_idx = int(np.argmax(vals))  # first occurrence: lexicographic tie-break
-    samples = len(xs)
-
-    def value(x, y):
-        return abs(x @ a1m @ y) + abs(x @ a2m @ y)
-
-    starts = [(xs[best_idx], ys[best_idx])]
-    gen = SplitMix64(cfg.seed)
-    for _ in range(cfg.restarts):
-        x = gen.unit_vector(4)
-        u, v = a1m.T @ x, a2m.T @ x
-        w = u + v if np.linalg.norm(u + v) >= np.linalg.norm(u - v) else u - v
-        if np.linalg.norm(w) < 1e-14:
-            w = np.array([0.0, 1.0, 0.0, 0.0]) - x[1] * x
-        starts.append((x, w / np.linalg.norm(w)))
-
-    best_val = -np.inf
-    best_pair = None
-    iters = 0
-    for x0, y0 in starts:
-        on = _orthonormalize(np.array(x0), np.array(y0))
-        if on is None:
-            continue
-        x, y = on
-        val = value(x, y)
-        step = cfg.initial_step
-        for _ in range(cfg.ascent_steps):
-            iters += 1
-            improved = False
-            for which in (0, 1):
-                for coord in range(4):
-                    for sign in (1.0, -1.0):
-                        xt = x.copy()
-                        yt = y.copy()
-                        if which == 0:
-                            xt[coord] += sign * step
-                        else:
-                            yt[coord] += sign * step
-                        on = _orthonormalize(xt, yt)
-                        if on is None:
-                            continue
-                        cand = value(*on)
-                        if cand > val:
-                            x, y = on
-                            val = cand
-                            improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val > best_val:
-            best_val = val
-            best_pair = (x, y)
-
-    argmax = exterior.wedge(*best_pair)
+    u, s, vh = np.linalg.svd(np.stack([a1m + a2m, a1m - a2m]))
+    k = 0 if s[0, 0] >= s[1, 0] else 1
+    argmax = exterior.wedge(u[k, :, 0], vh[k, 0])
     argmax /= exterior.norm(argmax)
     alpha = characteristic_angles(p1, p2)
     return BoundReport(
-        sup_value=float(best_val),
+        sup_value=float(s[k, 0]),
         argmax=argmax,
         bound=wirtinger_bound(alpha.alpha1),
-        samples=samples,
-        refinement_iters=iters,
+        samples=2,
+        refinement_iters=0,
     )
-
-
-def sup_grid_oracle(p1: Plane, p2: Plane, n: int = 96) -> float:
-    """Independent dense-grid value of the supremum for validation.
-
-    Grids the first member of the orthonormal pair at n points per sphere
-    angle and takes the exact in-fiber maximum over the second member; no
-    ascent, no shared search state with ``sup_projection_sum``.
-    """
-    a1m = exterior.antisymmetric_matrix(p1.bivector)
-    a2m = exterior.antisymmetric_matrix(p2.bivector)
-    best = 0.0
-    xs = _sphere3_grid(n)
-    chunk = 262144
-    for s in range(0, len(xs), chunk):
-        vals, _ = _fiber_max(a1m, a2m, xs[s:s + chunk])
-        best = max(best, float(vals.max()))
-    return best

@@ -109,14 +109,13 @@ def _cmd_bounds(args) -> dict:
             raise ConfigError("bounds needs --alpha1 and --alpha2 (or --alpha-steps)")
         pairs.append((args.alpha1, args.alpha2))
 
-    cfg = bounds.SearchConfig(grid_n=args.grid, seed=args.seed)
     header = ["alpha1", "alpha2", "sup_value", "wirtinger_bound", "witness",
               "samples", "refinement_iters",
               "c12", "c13", "c14", "c23", "c24", "c34"]
     rows = []
     for a1, a2 in sorted(pairs):
         p1, p2 = grassmann.canonical_pair(a1, a2)
-        rep = bounds.sup_projection_sum(p1, p2, cfg)
+        rep = bounds.sup_projection_sum(p1, p2)
         witness = 1.0 + np.cos(a1) * np.cos(a2)
         rows.append([a1, a2, rep.sup_value, rep.bound, witness,
                      rep.samples, rep.refinement_iters, *rep.argmax])
@@ -155,13 +154,16 @@ def _cmd_wirtinger(args) -> dict:
 
 # ---------------------------------------------------------------- annulus
 
-def _parse_coeffs(raw: str) -> np.ndarray:
-    if not raw:
-        return np.zeros(1)
+def _float_list(flag: str, raw: str) -> list[float]:
+    """Parse a comma list of numbers given to ``flag``."""
     try:
-        return np.array([float(tok) for tok in raw.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"bad coefficient list {raw!r}: {exc}") from exc
+        return [float(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected a comma list of numbers, got {raw!r}") from None
+
+
+def _coeffs(flag: str, raw: str) -> np.ndarray:
+    return np.array(_float_list(flag, raw)) if raw else np.zeros(1)
 
 
 def _cmd_annulus(args) -> dict:
@@ -185,8 +187,8 @@ def _cmd_annulus(args) -> dict:
         rows.append(["log", r0, args.delta, "" if args.eps is None else args.eps,
                      value, const, fd_v, fd_err])
     else:
-        a = _parse_coeffs(args.acoef)
-        b = _parse_coeffs(args.bcoef)
+        a = _coeffs("--acoef", args.acoef)
+        b = _coeffs("--bcoef", args.bcoef)
         n = max(len(a), len(b))
         fb = annulus.FourierBoundary(args.mean,
                                      np.pad(a, (0, n - len(a))),
@@ -246,10 +248,8 @@ def _cmd_scan(args) -> dict:
 # --------------------------------------------------------------- plateau
 
 def _cmd_plateau(args, out: Path) -> dict:
-    if args.pinch_sweep:
-        pinches = [float(tok) for tok in args.pinch_sweep.split(",")]
-    else:
-        pinches = [args.pinch]
+    pinches = (_float_list("--pinch-sweep", args.pinch_sweep) if args.pinch_sweep
+               else [args.pinch])
 
     def run(p: float) -> plateau.ExperimentReport:
         cfg = plateau.ExperimentConfig(
@@ -292,11 +292,12 @@ def _cmd_plateau(args, out: Path) -> dict:
 
 _COLUMN_DOCS = {
     "bounds": (
-        "columns: alpha1,alpha2 angle pair (rad); sup_value measured supremum of "
-        "|p1 xi|+|p2 xi|; wirtinger_bound proven 1+2cos(alpha1); witness "
-        "1+cos(alpha1)cos(alpha2) scored by e1^e2; samples grid evaluations; "
-        "refinement_iters ascent sweeps; c12,c13,c14,c23,c24,c34 argmax 2-vector "
-        "coefficients. rows sorted by (alpha1, alpha2)."
+        "columns: alpha1,alpha2 angle pair (rad); sup_value supremum of "
+        "|p1 xi|+|p2 xi|, closed form max(|A1+A2|,|A1-A2|) in operator norm; "
+        "wirtinger_bound proven 1+2cos(alpha1); witness 1+cos(alpha1)cos(alpha2) "
+        "scored by e1^e2; samples 2, the matrices A1+A2 and A1-A2 whose norms "
+        "are taken; refinement_iters 0, no search runs; c12,c13,c14,c23,c24,c34 "
+        "argmax 2-vector coefficients. rows sorted by (alpha1, alpha2)."
     ),
     "wirtinger": (
         "columns: kind 'xi' (equality-set draw) or 'simple' (random wedge); index "
@@ -325,6 +326,13 @@ _COLUMN_DOCS = {
 }
 
 
+def _count(raw: str) -> int:
+    """argparse type of a non-negative integer flag."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planes4", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -341,14 +349,13 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--alpha1", type=float, default=None)
     p.add_argument("--alpha2", type=float, default=None)
-    p.add_argument("--alpha-steps", type=int, default=0,
+    p.add_argument("--alpha-steps", type=_count, default=0,
                    help="sweep an NxN angle grid instead of one pair")
-    p.add_argument("--grid", type=int, default=48, help="search grid density")
 
     p = sub.add_parser("wirtinger", epilog=_COLUMN_DOCS["wirtinger"],
                        help="equality-set sampling and membership")
     common(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("annulus", epilog=_COLUMN_DOCS["annulus"],

@@ -504,6 +504,17 @@ def _disc_lattice(spacing: float, radius: float, inner: float = 0.0) -> np.ndarr
     return w[(rr <= radius) & (rr >= inner)]
 
 
+def _tiered_disc(spacing: float, extent: float, fine_spacing: float | None,
+                 fine_radius: float) -> tuple[np.ndarray, float]:
+    """Disc lattice with an optional finer core, and its declared resolution."""
+    tiers = [_disc_lattice(spacing, extent, inner=fine_radius)]
+    res = spacing
+    if fine_spacing is not None and fine_radius > 0.0:
+        tiers.append(_disc_lattice(fine_spacing, fine_radius))
+        res = fine_spacing
+    return np.vstack(tiers), res
+
+
 def plane_pair_sample(spacing: float, extent: float = 1.2,
                       fine_spacing: float | None = None,
                       fine_radius: float = 0.0,
@@ -515,12 +526,7 @@ def plane_pair_sample(spacing: float, extent: float = 1.2,
     """
     from .grassmann import P01, P02
     p1, p2 = planes if planes is not None else (P01, P02)
-    tiers = [(_disc_lattice(spacing, extent, inner=fine_radius))]
-    res = spacing
-    if fine_spacing is not None and fine_radius > 0.0:
-        tiers.append(_disc_lattice(fine_spacing, fine_radius))
-        res = fine_spacing
-    w = np.vstack(tiers)
+    w, res = _tiered_disc(spacing, extent, fine_spacing, fine_radius)
     pts = np.vstack([w @ p1.basis, w @ p2.basis])
     return SetSample(pts, res)
 
@@ -539,12 +545,7 @@ def pinched_pair_sample(pinch_radius: float, height: float, spacing: float,
     from .grassmann import P01, P02
     if pinch_radius <= 0:
         raise ValueError(f"pinch radius must be positive, got {pinch_radius}")
-    tiers = [_disc_lattice(spacing, extent, inner=fine_radius)]
-    res = spacing
-    if fine_spacing is not None and fine_radius > 0.0:
-        tiers.append(_disc_lattice(fine_spacing, fine_radius))
-        res = fine_spacing
-    w = np.vstack(tiers)
+    w, res = _tiered_disc(spacing, extent, fine_spacing, fine_radius)
     r = np.linalg.norm(w, axis=1)
     bump = np.where(r < pinch_radius,
                     height * (1.0 - (r / pinch_radius) ** 2) ** 2, 0.0)

@@ -116,16 +116,6 @@ def face_tangents(mesh: TriMesh4, drop_degenerate: bool = False) -> np.ndarray:
     return w / n[:, None]
 
 
-def face_tangent(mesh: TriMesh4, index: int) -> np.ndarray:
-    """Unit simple tangent 2-vector of one face."""
-    v = mesh.vertices[mesh.faces[index]]
-    w = exterior.wedge(v[1] - v[0], v[2] - v[0])
-    n = exterior.norm(w)
-    if n < 2.0 * _DEGENERATE_AREA:
-        raise ValueError(f"face {index} is degenerate")
-    return w / n
-
-
 def projected_area_with_multiplicity(mesh: TriMesh4, plane: Plane) -> float:
     """Integral of |wedge_2 p (tangent)| over the mesh, counting overlaps."""
     if not len(mesh.faces):

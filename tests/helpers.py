@@ -9,7 +9,9 @@ The shadow-bitmap and area-gradient oracles are the straightforward
 per-triangle loop and structure-tensor/``np.add.at`` forms that the
 vectorised production kernels must reproduce bit for bit, and the
 translate-search oracle is the exhaustive search that the early-rejecting
-scanner search must reproduce bit for bit.
+scanner search must reproduce bit for bit.  The projection-sum grid oracle
+maximizes over a sphere grid of first vectors, exactly in each fiber, and
+never forms the matrix norms of the closed-form supremum.
 """
 
 from __future__ import annotations
@@ -276,3 +278,57 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
             if step < search.tol * r:
                 break
     return best_q, exact(best_q), exact(x)
+
+
+def _sphere3_grid(n: int) -> np.ndarray:
+    """Grid on the unit sphere of R^4 from spherical angles, n per coordinate."""
+    t1 = np.linspace(0.0, np.pi, n)
+    t2 = np.linspace(0.0, np.pi, n)
+    t3 = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    a, b, c = np.meshgrid(t1, t2, t3, indexing="ij")
+    return np.stack([
+        np.cos(a),
+        np.sin(a) * np.cos(b),
+        np.sin(a) * np.sin(b) * np.cos(c),
+        np.sin(a) * np.sin(b) * np.sin(c),
+    ], axis=-1).reshape(-1, 4)
+
+
+def _fiber_max(a1: np.ndarray, a2: np.ndarray, xs: np.ndarray):
+    """Exact max over unit y orthogonal to x of |x^T A1 y| + |x^T A2 y|.
+
+    For fixed x the objective is |<u, y>| + |<v, y>| with u = A1^T x,
+    v = A2^T x, both orthogonal to x; the maximum is max(|u+v|, |u-v|),
+    attained at the normalized sum/difference.  Returns (values, best y).
+    """
+    u = xs @ a1
+    v = xs @ a2
+    plus = np.linalg.norm(u + v, axis=-1)
+    minus = np.linalg.norm(u - v, axis=-1)
+    vals = np.maximum(plus, minus)
+    w = np.where((plus >= minus)[..., None], u + v, u - v)
+    wn = np.linalg.norm(w, axis=-1, keepdims=True)
+    # degenerate fiber (both functionals vanish): fall back to any unit normal
+    fallback = np.zeros_like(w)
+    fallback[..., 1] = 1.0
+    y = np.where(wn > 1e-14, w / np.where(wn > 1e-14, wn, 1.0), fallback)
+    return vals, y
+
+
+def sup_grid_oracle(p1: Plane, p2: Plane, n: int = 96) -> float:
+    """Independent dense-grid value of the supremum for validation.
+
+    Grids the first member of the orthonormal pair at n points per sphere
+    angle and takes the exact in-fiber maximum over the second member; it
+    shares nothing with the singular value decomposition that
+    ``sup_projection_sum`` takes.
+    """
+    a1m = exterior.antisymmetric_matrix(p1.bivector)
+    a2m = exterior.antisymmetric_matrix(p2.bivector)
+    best = 0.0
+    xs = _sphere3_grid(n)
+    chunk = 262144
+    for s in range(0, len(xs), chunk):
+        vals, _ = _fiber_max(a1m, a2m, xs[s:s + chunk])
+        best = max(best, float(vals.max()))
+    return best

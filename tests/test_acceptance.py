@@ -20,7 +20,7 @@ from planes4 import surfaces as sf
 from planes4.cli import run_command
 from planes4.rng import SplitMix64
 
-from helpers import brute_force_critical_scale, random_simple_units
+from helpers import brute_force_critical_scale, random_simple_units, sup_grid_oracle
 
 ORTH = (np.pi / 2, np.pi / 2)
 
@@ -50,7 +50,7 @@ def test_acceptance_1_orthogonal_projection_bound():
         p1, p2 = gr.canonical_pair(*ORTH)
         rep = bd.sup_projection_sum(p1, p2)
         assert abs(rep.sup_value - 1.0) <= 1e-6
-        oracle = bd.sup_grid_oracle(p1, p2, n=96)
+        oracle = sup_grid_oracle(p1, p2, n=96)
         assert abs(rep.sup_value - oracle) <= 1e-5
 
 

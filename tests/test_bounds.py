@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planes4 import bounds as bd
 from planes4 import exterior as ex
 from planes4 import grassmann as gr
 from planes4.rng import SplitMix64
 
-from helpers import random_simple_units
+from helpers import random_simple_units, sup_grid_oracle
 
 
 def test_projection_sum_orthogonal_self():
@@ -125,7 +127,7 @@ def test_sup_intermediate_pair_recorded_by_grid_oracle():
     lo = 1.0 + np.cos(np.pi / 3) * np.cos(np.pi / 2)
     hi = 1.0 + 2.0 * np.cos(np.pi / 3)
     assert lo - 1e-9 <= rep.sup_value <= hi + 1e-9
-    oracle = bd.sup_grid_oracle(p1, p2, n=64)
+    oracle = sup_grid_oracle(p1, p2, n=64)
     assert rep.sup_value >= oracle - 1e-9
     assert abs(rep.sup_value - oracle) <= 1e-3
 
@@ -150,19 +152,61 @@ def test_grid_oracle_approaches_operator_norm():
     m1 = ex.antisymmetric_matrix(p1.bivector)
     m2 = ex.antisymmetric_matrix(p2.bivector)
     want = max(np.linalg.norm(m1 + m2, 2), np.linalg.norm(m1 - m2, 2))
-    coarse = bd.sup_grid_oracle(p1, p2, n=24)
-    fine = bd.sup_grid_oracle(p1, p2, n=96)
+    coarse = sup_grid_oracle(p1, p2, n=24)
+    fine = sup_grid_oracle(p1, p2, n=96)
     assert coarse <= want + 1e-12
     assert fine <= want + 1e-12
     assert want - fine <= want - coarse + 1e-12
     assert want - fine <= 2e-3
 
 
+angle = st.floats(0.0, np.pi / 2)
+vec4 = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(np.array)
+
+
+@st.composite
+def canonical_pairs(draw):
+    a1, a2 = sorted((draw(angle), draw(angle)))
+    return gr.canonical_pair(a1, a2)
+
+
+@st.composite
+def spanned_pairs(draw):
+    # arbitrary planes with arbitrary orientations, so that A1 - A2 can win
+    x1, y1, x2, y2 = (draw(vec4) for _ in range(4))
+    assume(ex.norm(ex.wedge(x1, y1)) > 0.1 and ex.norm(ex.wedge(x2, y2)) > 0.1)
+    return gr.plane_from_vectors(x1, y1), gr.plane_from_vectors(x2, y2)
+
+
+def _check_closed_form_supremum(p1, p2):
+    rep = bd.sup_projection_sum(p1, p2)
+    assert abs(ex.norm(rep.argmax) - 1.0) <= 1e-12
+    assert ex.is_simple(rep.argmax, 1e-12)
+    # attained at argmax, above the independent grid oracle, and never
+    # exceeded by random unit simple 2-vectors
+    assert abs(bd.projection_sum(p1, p2, rep.argmax) - rep.sup_value) <= 1e-12
+    assert rep.sup_value >= sup_grid_oracle(p1, p2, n=64) - 1e-12
+    sums = bd.projection_sums(p1, p2, random_simple_units(np.random.default_rng(24), 10**4))
+    assert float(sums.max()) <= rep.sup_value + 1e-12
+    assert (rep.samples, rep.refinement_iters) == (2, 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(canonical_pairs())
+def test_sup_closed_form_on_canonical_pairs(pair):
+    _check_closed_form_supremum(*pair)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spanned_pairs())
+def test_sup_closed_form_on_spanned_pairs(pair):
+    _check_closed_form_supremum(*pair)
+
+
 def test_sup_determinism():
     p1, p2 = gr.canonical_pair(0.9, 1.2)
-    cfg = bd.SearchConfig(seed=5)
-    a = bd.sup_projection_sum(p1, p2, cfg)
-    b = bd.sup_projection_sum(p1, p2, cfg)
+    a = bd.sup_projection_sum(p1, p2)
+    b = bd.sup_projection_sum(p1, p2)
     assert a.sup_value == b.sup_value
     assert np.array_equal(a.argmax, b.argmax)
 
@@ -174,11 +218,6 @@ def test_sup_monotone_degradation_toward_orthogonal():
         values.append(rep.sup_value)
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-5
-
-
-def test_search_config_rejects_sparse_grid():
-    with pytest.raises(ValueError):
-        bd.SearchConfig(grid_n=8)
 
 
 def test_soundness_random_suite():

@@ -155,6 +155,19 @@ def test_unknown_flag_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "a,b"], "--pinch-sweep"),
+    (["annulus", "--mode", "exact", "--r0", "0.5", "--acoef", "1,x"], "--acoef"),
+    (["wirtinger", "--samples", "-5"], "--samples"),
+    (["bounds", "--alpha-steps", "-2"], "--alpha-steps"),
+])
+def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag):
+    rc = run_command(argv + ["--out", str(tmp_path / "z")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     rc = run_command(["annulus", "--mode", "log", "--delta", "1",
                       "--r0", "1.5", "--out", str(tmp_path / "y")])

@@ -71,14 +71,14 @@ def test_area_rotation_invariance():
 
 def test_face_tangent_in_plane():
     m = single_triangle([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
-    t = sf.face_tangent(m, 0)
+    t = sf.face_tangents(m)[0]
     assert np.allclose(np.abs(t), ex.E12, atol=1e-15)
 
 
 def test_face_tangent_in_canonical_second_plane():
     p1, p2 = gr.canonical_pair(0.5, 0.9)
     m = single_triangle(np.zeros(4), p2.basis[0], p2.basis[1])
-    t = sf.face_tangent(m, 0)
+    t = sf.face_tangents(m)[0]
     assert abs(abs(ex.inner(t, p2.bivector)) - 1.0) <= 1e-12
 
 
@@ -423,6 +423,79 @@ def test_mesh4_writer_exact_bytes(tmp_path):
                                  b"0 1 2\n"
                                  b"1 2 3\n"
                                  b"B 0 1 2 3\n")
+
+
+@st.composite
+def _fan_meshes(draw):
+    # a fan around a hub whose e1e2 shadow is a convex polygon, so no face is
+    # degenerate whatever the e3, e4 coordinates are; vertex labels shuffled
+    n = draw(st.integers(3, 12))
+    t = 2.0 * np.pi * np.arange(n) / n
+    radius = draw(st.floats(1e-3, 1e3))
+    free = st.floats(-1e50, 1e50)
+    verts = np.zeros((n + 1, 4))
+    verts[1:, 0], verts[1:, 1] = radius * np.cos(t), radius * np.sin(t)
+    verts[0, :2] = draw(st.floats(-radius / 4, radius / 4)), draw(st.floats(-radius / 4, radius / 4))
+    verts[:, 2:] = np.array(draw(st.lists(free, min_size=2 * n + 2, max_size=2 * n + 2))).reshape(-1, 2)
+    faces = np.array([[0, 1 + k, 1 + (k + 1) % n] for k in range(n)])
+    fixed = np.arange(n + 1) > 0 if draw(st.booleans()) else np.zeros(n + 1, bool)
+    label = np.array(draw(st.permutations(range(n + 1))))
+    inverse = np.argsort(label)
+    return sf.TriMesh4(verts[inverse], label[faces], fixed[inverse])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fan_meshes())
+def test_mesh4_roundtrip_is_bitwise(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("roundtrip") / "m.mesh4"
+    sf.write_mesh4(path, m)
+    m2 = sf.read_mesh4(path)
+    assert np.array_equal(m2.vertices.view(np.uint64), m.vertices.view(np.uint64))
+    assert np.array_equal(m2.faces, m.faces)
+    assert np.array_equal(m2.fixed, m.fixed)
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["", "B", "MESH4", "nan", "-inf", "1e999", "-0", "0x1", "1_0",
+                     "2.0", "-1", "\xe9", "99999999999999999999"]),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["replace", "drop", "insert", "delete-line", "duplicate-line",
+                        "swap-lines", "truncate", "new-line"]),
+       st.integers(0, 10**6), st.integers(0, 10**6), _FUZZ_TOKENS)
+def test_mesh4_mutated_file_parses_or_is_config_error(tmp_path_factory, how, i, j, token):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mesh4"
+    sf.write_mesh4(path, fan_disk(5, gr.P01))
+    lines = path.read_text().splitlines()
+    li, lj = i % len(lines), j % len(lines)
+    tokens = lines[li].split()
+    if how == "replace":
+        tokens[j % len(tokens)] = token
+    elif how == "drop":
+        del tokens[j % len(tokens)]
+    elif how == "insert":
+        tokens.insert(j % (len(tokens) + 1), token)
+    lines[li] = " ".join(tokens)
+    if how == "delete-line":
+        del lines[li]
+    elif how == "duplicate-line":
+        lines.insert(li, lines[li])
+    elif how == "swap-lines":
+        lines[li], lines[lj] = lines[lj], lines[li]
+    elif how == "truncate":
+        del lines[li:]
+    elif how == "new-line":
+        lines.insert(li, token)
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    try:
+        sf.read_mesh4(path)
+    except ConfigError:
+        pass
 
 
 # each malformed file and the line its error must name
