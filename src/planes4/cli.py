@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -155,11 +156,12 @@ def _cmd_wirtinger(args) -> dict:
 # ---------------------------------------------------------------- annulus
 
 def _float_list(flag: str, raw: str) -> list[float]:
-    """Parse a comma list of numbers given to ``flag``."""
+    """Parse a comma list of finite numbers given to ``flag``."""
     try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected a comma list of numbers, got {raw!r}") from None
+        return [_finite(tok) for tok in raw.split(",")]
+    except argparse.ArgumentTypeError:
+        raise ConfigError(f"{flag}: expected a comma list of finite numbers, "
+                          f"got {raw!r}") from None
 
 
 def _coeffs(flag: str, raw: str) -> np.ndarray:
@@ -255,8 +257,7 @@ def _cmd_plateau(args, out: Path) -> dict:
         cfg = plateau.ExperimentConfig(
             alpha1=args.alpha1, alpha2=args.alpha2,
             boundary_segments=args.segments, pinch_radius=p,
-            optimizer=plateau.OptimizerConfig(max_iters=args.iters),
-            seed=args.seed, resolution=args.resolution)
+            max_iters=args.iters, resolution=args.resolution)
         return plateau.run_experiment(cfg)
 
     workers = min(thread_count(), len(pinches))
@@ -333,6 +334,16 @@ def _count(raw: str) -> int:
     return int(raw)
 
 
+def _finite(raw: str) -> float:
+    """argparse type of a real flag: a finite number, not nan or inf."""
+    try:
+        if math.isfinite(value := float(raw)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planes4", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -347,8 +358,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bounds", epilog=_COLUMN_DOCS["bounds"],
                        help="projection-sum suprema over angle pairs")
     common(p)
-    p.add_argument("--alpha1", type=float, default=None)
-    p.add_argument("--alpha2", type=float, default=None)
+    p.add_argument("--alpha1", type=_finite, default=None)
+    p.add_argument("--alpha2", type=_finite, default=None)
     p.add_argument("--alpha-steps", type=_count, default=0,
                    help="sweep an NxN angle grid instead of one pair")
 
@@ -356,54 +367,54 @@ def _build_parser() -> _Parser:
                        help="equality-set sampling and membership")
     common(p)
     p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
 
     p = sub.add_parser("annulus", epilog=_COLUMN_DOCS["annulus"],
                        help="annulus energies and bounds")
     common(p)
     p.add_argument("--mode", required=True, choices=["exact", "reflect", "log"])
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--mean", type=float, default=0.0)
+    p.add_argument("--r0", type=_finite, required=True)
+    p.add_argument("--delta", type=_finite, default=1.0)
+    p.add_argument("--eps", type=_finite, default=None)
+    p.add_argument("--mean", type=_finite, default=0.0)
     p.add_argument("--acoef", default="1", help="comma list of cosine coefficients")
     p.add_argument("--bcoef", default="", help="comma list of sine coefficients")
-    p.add_argument("--qx", type=float, default=0.0, help="inner-circle center x")
-    p.add_argument("--qy", type=float, default=0.0, help="inner-circle center y")
+    p.add_argument("--qx", type=_finite, default=0.0, help="inner-circle center x")
+    p.add_argument("--qy", type=_finite, default=0.0, help="inner-circle center y")
     p.add_argument("--fd-check", action="store_true",
                    help="cross-check against the finite-difference solver")
-    p.add_argument("--grid-r", type=int, default=128)
-    p.add_argument("--grid-t", type=int, default=512)
+    p.add_argument("--grid-r", type=_count, default=128)
+    p.add_argument("--grid-t", type=_count, default=512)
 
     p = sub.add_parser("scan", epilog=_COLUMN_DOCS["scan"],
                        help="dyadic flatness scan of a mesh file")
     common(p)
     p.add_argument("--mesh", required=True, help="MESH4 input file")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--floor", type=float, default=None,
+    p.add_argument("--eps", type=_finite, required=True)
+    p.add_argument("--floor", type=_finite, default=None,
                    help="scale floor (default 2x sampling density)")
-    p.add_argument("--density", type=float, default=0.02,
+    p.add_argument("--density", type=_finite, default=0.02,
                    help="mesh face sampling spacing")
-    p.add_argument("--alpha1", type=float, default=float(np.pi / 2))
-    p.add_argument("--alpha2", type=float, default=float(np.pi / 2))
+    p.add_argument("--alpha1", type=_finite, default=float(np.pi / 2))
+    p.add_argument("--alpha2", type=_finite, default=float(np.pi / 2))
 
     p = sub.add_parser("plateau", epilog=_COLUMN_DOCS["plateau"],
                        help="discrete Plateau experiments")
     common(p)
-    p.add_argument("--alpha1", type=float, required=True)
-    p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument("--pinch", type=float, default=0.0)
+    p.add_argument("--alpha1", type=_finite, required=True)
+    p.add_argument("--alpha2", type=_finite, required=True)
+    p.add_argument("--pinch", type=_finite, default=0.0)
     p.add_argument("--pinch-sweep", default="",
                    help="comma list of pinch radii (overrides --pinch)")
-    p.add_argument("--segments", type=int, default=256)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--resolution", type=int, default=256)
+    p.add_argument("--segments", type=_count, default=256)
+    p.add_argument("--iters", type=_count, default=200)
+    p.add_argument("--resolution", type=_count, default=256)
     p.add_argument("--write-mesh", action="store_true",
                    help="write optimized meshes as .mesh4 files")
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags (command line wins)."""
     if "--config" not in argv:
         return argv
@@ -436,7 +447,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
 def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, list(argv))
+        argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -445,18 +456,11 @@ def run_command(argv: list[str]) -> int:
                   if k not in ("out", "config") and v is not None}
         digest = _digest(config)
 
-        if args.command == "bounds":
-            result = _cmd_bounds(args)
-        elif args.command == "wirtinger":
-            result = _cmd_wirtinger(args)
-        elif args.command == "annulus":
-            result = _cmd_annulus(args)
-        elif args.command == "scan":
-            result = _cmd_scan(args)
-        elif args.command == "plateau":
+        if args.command == "plateau":
             result = _cmd_plateau(args, out)
-        else:  # pragma: no cover - argparse guards this
-            raise ConfigError(f"unknown command {args.command!r}")
+        else:                     # argparse admits only the subcommands
+            result = {"bounds": _cmd_bounds, "wirtinger": _cmd_wirtinger,
+                      "annulus": _cmd_annulus, "scan": _cmd_scan}[args.command](args)
 
         _write_csv(out, digest, result["header"], result["rows"])
         _write_record(out, digest, args.command, result["record"])

@@ -10,13 +10,16 @@ competitor family.
 ``minimize_area`` runs plain gradient descent with backtracking on the
 free vertices (area Hessians are rank-deficient at cone points, so
 robustness beats Newton here), radially retracting anything that leaves
-the closed unit ball.  ``certificate_lower_bound`` turns shadow areas into
-a certified area floor (shadow1 + shadow2) / lambda.
+the closed unit ball.  Its schedule is fixed: the step starts at 0.01,
+and the descent stops as converged once the free-vertex gradient norm
+falls below ``TOL_GRAD`` = 1e-6; only the iteration cap varies.
+``certificate_lower_bound`` turns shadow areas into a certified area
+floor (shadow1 + shadow2) / lambda.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +29,8 @@ from .grassmann import Plane, canonical_pair, characteristic_angles
 from .surfaces import TriMesh4, area, face_tangents, shadow_area
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 200
-    step: float = 0.01
-    tol_grad: float = 1e-6
+_STEP = 0.01            # initial descent step; accepted steps grow it up to 10x
+TOL_GRAD = 1e-6         # converged below this free-vertex gradient norm
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,8 @@ class ExperimentConfig:
     alpha2: float
     boundary_segments: int = 256
     pinch_radius: float = 0.0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    seed: int = 0
+    max_iters: int = 200             # descent iteration cap
     resolution: int = 256            # shadow rasterization cells per unit
-    certificates: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.alpha1 <= self.alpha2 <= np.pi / 2 + 1e-15):
@@ -220,7 +218,7 @@ def _free_grad_norm(grad: np.ndarray, free: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g)))
 
 
-def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
+def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
     """Monotone gradient descent on free vertices with radial ball retraction."""
     if not mesh.fixed.any():
         raise ValueError("mesh has no fixed boundary vertices")
@@ -228,16 +226,16 @@ def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> M
     free = np.flatnonzero(~mesh.fixed)
     current, grad = _area_and_gradient(verts, mesh.faces)
     trace = [current]
-    step = opt.step
+    step = _STEP
     stopped = "max-iters"
     gnorm = _free_grad_norm(grad, free)
-    for _ in range(opt.max_iters):
-        if gnorm < opt.tol_grad:
+    for _ in range(max_iters):
+        if gnorm < TOL_GRAD:
             stopped = "converged"
             break
         accepted = False
         s = step
-        while s > 1e-12 * opt.step:
+        while s > 1e-12 * _STEP:
             trial = verts.copy()
             trial[free] -= s * grad[free]
             _retract_to_ball(trial, free)
@@ -246,7 +244,7 @@ def minimize_area(mesh: TriMesh4, opt: OptimizerConfig = OptimizerConfig()) -> M
                 verts, current, grad = trial, val, g
                 gnorm = _free_grad_norm(grad, free)
                 trace.append(current)
-                step = min(s * 1.5, 10.0 * opt.step)
+                step = min(s * 1.5, 10.0 * _STEP)
                 accepted = True
                 break
             s *= 0.5
@@ -295,19 +293,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.boundary_segments
     mesh = build_pinched_competitor(cfg.alpha1, cfg.alpha2, cfg.pinch_radius, n)
     initial = area(mesh)
-    result = minimize_area(mesh, cfg.optimizer)
+    result = minimize_area(mesh, cfg.max_iters)
     final = float(result.trace[-1])
 
     mesh_tol = mesh_area_tolerance(n)
     tol = 4.0 / cfg.resolution + 2.0 * mesh_tol
-    if cfg.certificates:
-        bound, covers = certificate_lower_bound(result.mesh, p1, p2, cfg.resolution)
-    else:
-        bound, covers = 0.0, (False, False)
+    bound, covers = certificate_lower_bound(result.mesh, p1, p2, cfg.resolution)
 
     eps_alpha = 2.0 * np.cos(cfg.alpha1)
     reference = 2.0 * np.pi
-    if (cfg.certificates and covers[0] and covers[1]
+    if (covers[0] and covers[1]
             and final >= bound - tol
             and bound >= reference / (1.0 + eps_alpha) - tol):
         verdict = "certified-optimal"

@@ -53,16 +53,6 @@ class SetSample:
 
 
 @dataclass(frozen=True)
-class TranslationSearch:
-    """Deterministic best-translate search: coarse grid plus coordinate descent."""
-
-    grid_n: int = 3              # coarse grid points per translation axis
-    plane_points: int = 48       # plane-lattice points per window diameter
-    tol: float = 1e-6            # stop refining when improvement drops below this
-    max_rounds: int = 24
-
-
-@dataclass(frozen=True)
 class ScanStep:
     index: int
     center: np.ndarray
@@ -91,16 +81,14 @@ class ScanReport:
     dist_double: float | None = None     # to pair + o_k on D(o_k, 2 r_k)
 
 
-def _inplane(points: np.ndarray, plane: Plane) -> np.ndarray:
-    return points @ plane.basis.T
-
-
-def bicylinder_mask(points: np.ndarray, p1: Plane, p2: Plane,
-                    x: np.ndarray, r: float) -> np.ndarray:
-    d = points - np.asarray(x, dtype=float)
-    n1 = np.linalg.norm(_inplane(d, p1), axis=1)
-    n2 = np.linalg.norm(_inplane(d, p2), axis=1)
-    return (n1 <= r) & (n2 <= r)
+def _in_bicylinder(a: np.ndarray, c: np.ndarray, planes: tuple[Plane, Plane],
+                   x: np.ndarray, r: float) -> np.ndarray:
+    """Mask of the points, given by in-plane coordinates a, c (m, 2), inside D(x, r)."""
+    b1 = x @ planes[0].basis.T
+    b2 = x @ planes[1].basis.T
+    m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
+    m &= np.hypot(c[:, 0] - b2[0], c[:, 1] - b2[1]) <= r
+    return m
 
 
 def bicylinder_clip(sample: SetSample, p1: Plane, p2: Plane,
@@ -108,7 +96,9 @@ def bicylinder_clip(sample: SetSample, p1: Plane, p2: Plane,
     """Points of the sample inside the closed bi-cylinder D(x, r)."""
     if r <= 0:
         raise ValueError(f"clip radius must be positive, got {r}")
-    return sample.points[bicylinder_mask(sample.points, p1, p2, x, r)]
+    pts = sample.points
+    return pts[_in_bicylinder(pts @ p1.basis.T, pts @ p2.basis.T, (p1, p2),
+                              np.asarray(x, dtype=float), r)]
 
 
 def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,
@@ -140,6 +130,11 @@ def _complement_basis(plane: Plane) -> np.ndarray:
 #: cap on window points driving the translate search; the returned distance
 #: is always re-evaluated exactly on the full window
 _SEARCH_POINT_CAP = 150_000
+
+#: the translate search's fixed schedule
+_GRID_N = 3              # coarse grid points per translation axis
+_PLANE_POINTS = 48       # plane-lattice points per window diameter
+_MAX_ROUNDS = 24         # coordinate-descent rounds at most
 
 #: lattice points per kd-tree query and window points per set-side block
 #: when a search candidate is evaluated against the incumbent
@@ -175,13 +170,10 @@ class _PairGeometry:
         None) are tested, so it must hold every point of D(x, r); each
         point's test is the same arithmetic either way.
         """
-        b1 = x @ self.planes[0].basis.T
-        b2 = x @ self.planes[1].basis.T
         a, c = self.inplane
         if within is not None:
             a, c = a[within], c[within]
-        m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
-        m &= np.hypot(c[:, 0] - b2[0], c[:, 1] - b2[1]) <= r
+        m = _in_bicylinder(a, c, self.planes, x, r)
         return np.flatnonzero(m) if within is None else within[m]
 
     def pair_dist(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -219,7 +211,8 @@ class _PairGeometry:
             g1, g2 = np.meshgrid(c[0] + ax, c[1] + ax, indexing="ij")
             w2 = np.stack([g1.ravel(), g2.ravel()], axis=1)
             y = q + w2 @ plane.basis
-            pts.append(y[bicylinder_mask(y, *self.planes, x, r)])
+            inplane = [y @ p.basis.T for p in self.planes]
+            pts.append(y[_in_bicylinder(*inplane, self.planes, x, r)])
         return np.vstack(pts)
 
     def window_ctx(self, x: np.ndarray, r: float, spacing: float,
@@ -335,30 +328,31 @@ class _WindowCtx:
 
 
 def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
-                     r: float, search: TranslationSearch = TranslationSearch(),
+                     r: float, tol: float = 1e-6,
                      _geom: _PairGeometry | None = None) -> tuple[np.ndarray, float]:
     """Minimize the relative distance to the translated pair over a 4d box.
 
     The translate is confined to the coordinate box |q - x|_inf <= r/4
-    (inside D(x, r/2)).  Coarse grid first, lexicographic tie-break on the
-    grid ordering, then coordinate descent with step halving; refinement
-    stops when a full sweep improves by less than search.tol.  Very large
-    windows are subsampled for the search itself, but the returned distance
-    is the exact full-window value at the returned translate.
+    (inside D(x, r/2)).  The schedule is fixed: a 3^4 coarse grid with
+    lexicographic tie-break, then at most 24 rounds of coordinate descent,
+    halving the step after a round that improves by less than ``tol``; the
+    pair lattice has 48 points per window diameter.  Very large windows
+    are subsampled for the search itself, but the returned distance is
+    the exact full-window value at the returned translate.
     """
     x = np.asarray(x, dtype=float)
     geom = _geom if _geom is not None else _PairGeometry(e, *planes)
-    ctx = geom.window_ctx(x, r, 2.0 * r / search.plane_points)
-    return _search_translate(ctx, search)
+    ctx = geom.window_ctx(x, r, 2.0 * r / _PLANE_POINTS)
+    return _search_translate(ctx, tol)
 
 
-def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.ndarray, float]:
+def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
     x, r = ctx.x, ctx.r
     if not len(ctx.idx):
         return x.copy(), 0.0
 
     half = r / 4.0
-    ax = np.linspace(-half, half, search.grid_n)
+    ax = np.linspace(-half, half, _GRID_N)
     grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
 
     # the set-to-pair sup is a lower bound on the objective: evaluate coarse
@@ -373,8 +367,8 @@ def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.nd
         if d is not None:
             best_q, best_d = grid[k].copy(), d
 
-    step = half / max(search.grid_n - 1, 1)
-    for _ in range(search.max_rounds):
+    step = half / (_GRID_N - 1)
+    for _ in range(_MAX_ROUNDS):
         improved = 0.0
         for coord in range(4):
             for sign in (1.0, -1.0):
@@ -386,15 +380,15 @@ def _search_translate(ctx: _WindowCtx, search: TranslationSearch) -> tuple[np.nd
                 if d is not None:
                     improved += best_d - d
                     best_q, best_d = q, d
-        if improved < search.tol:
+        if improved < tol:
             step *= 0.5
-            if step < search.tol * r:
+            if step < tol * r:
                 break
     return best_q, ctx.exact_value(best_q)
 
 
 def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
-                    floor: float, search: TranslationSearch | None = None) -> ScanReport:
+                    floor: float) -> ScanReport:
     """Dyadic stopping-time scan for the critical center and radius.
 
     The first two centers are pinned at the origin (q0 = q1 = 0); searching
@@ -402,7 +396,10 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     center q_{n+1} of the next window D(q_{n+1}, 2^-(n+1)).  The scan stops
     at the first scale where even the best translate misses by more than
     eps + 2h/s_n (sampling tolerance included) and reports o_k = q_n,
-    r_k = s_n.  Scales below the floor end the scan with floor_hit.
+    r_k = s_n.  Scales below the floor end the scan with floor_hit.  Each
+    step runs the fixed schedule of ``best_translation`` (3^4 coarse grid,
+    48 lattice points per window diameter, at most 24 rounds) at
+    tol = 1e-4 * eps.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -410,8 +407,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         raise ValueError(
             f"floor {floor} below twice the sample resolution {e.resolution}"
         )
-    if search is None:
-        search = TranslationSearch(tol=1e-4 * eps)
+    tol = 1e-4 * eps
     geom = _PairGeometry(e, *planes)
     origin = np.zeros(4)
     centers = [origin.copy(), origin.copy()]      # q_0 = q_1 = 0
@@ -435,9 +431,9 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         # |q_{n+1} - q_n|_inf <= s_n / 4 moves each in-plane projection by
         # at most s_n / 2, so D(q_{n+1}, 2 s_{n+1}) lies inside D(q_n, 2 s_n)
         # and each window is cut from its parent's wide point set
-        ctx = geom.window_ctx(q, s, 2.0 * s / search.plane_points, within)
+        ctx = geom.window_ctx(q, s, 2.0 * s / _PLANE_POINTS, within)
         carried = ctx.exact_value(q)
-        best_q, best_d = _search_translate(ctx, search)
+        best_q, best_d = _search_translate(ctx, tol)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
                               len(ctx.idx), ctx.candidates, ctx.rejected_early))
         scales.append(s)
@@ -447,9 +443,9 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
             r_k = s
             shrink = 2.0 * s * (1.0 - 12.0 * eps)
             if shrink > 0:
-                wctx = geom.window_ctx(o_k, shrink, 2.0 * shrink / search.plane_points)
+                wctx = geom.window_ctx(o_k, shrink, 2.0 * shrink / _PLANE_POINTS)
                 dist_shrunken = wctx.exact_value(o_k)
-            wctx = geom.window_ctx(o_k, 2.0 * s, 4.0 * s / search.plane_points)
+            wctx = geom.window_ctx(o_k, 2.0 * s, 4.0 * s / _PLANE_POINTS)
             dist_double = wctx.exact_value(o_k)
             break
         q = best_q
@@ -517,17 +513,15 @@ def _tiered_disc(spacing: float, extent: float, fine_spacing: float | None,
 
 def plane_pair_sample(spacing: float, extent: float = 1.2,
                       fine_spacing: float | None = None,
-                      fine_radius: float = 0.0,
-                      planes: tuple[Plane, Plane] | None = None) -> SetSample:
-    """Sample of the union of two planes, optionally with a finer core tier.
+                      fine_radius: float = 0.0) -> SetSample:
+    """Sample of the orthogonal pair P01, P02, optionally with a finer core tier.
 
     The declared resolution is the fine (core) spacing when a core is
     requested; the far field keeps the base spacing.
     """
     from .grassmann import P01, P02
-    p1, p2 = planes if planes is not None else (P01, P02)
     w, res = _tiered_disc(spacing, extent, fine_spacing, fine_radius)
-    pts = np.vstack([w @ p1.basis, w @ p2.basis])
+    pts = np.vstack([w @ P01.basis, w @ P02.basis])
     return SetSample(pts, res)
 
 

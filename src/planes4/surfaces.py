@@ -55,7 +55,11 @@ class TriMesh4:
         if len(self.faces) and (self.faces.min() < 0 or self.faces.max() >= nv):
             raise ValueError("face indices out of range")
         if len(self.faces):
-            areas = face_areas(self)
+            with np.errstate(over="ignore", invalid="ignore"):
+                areas = face_areas(self)
+            bad = np.flatnonzero(~np.isfinite(areas))
+            if len(bad):
+                raise ValueError(f"face {bad[0]} has area {areas[bad[0]]}, not a finite number")
             if areas.min() < _DEGENERATE_AREA:
                 k = int(np.argmin(areas))
                 raise ValueError(f"degenerate face {k} with area {areas[k]:.3e}")
@@ -347,7 +351,9 @@ def read_mesh4(path) -> TriMesh4:
 
     Raises ``ConfigError`` naming ``path:line`` for a bad header, a line
     with the wrong number of tokens, a token that is not a finite real or
-    an integer, a vertex index out of range, or a file that ends early.
+    an integer, a vertex index out of range, or a file that ends early;
+    a mesh that fails ``TriMesh4.validate`` (a degenerate face, a face
+    area that overflows, bad boundary polylines) raises it naming ``path``.
     """
     try:
         with open(path, "r", encoding="ascii") as f:

@@ -20,7 +20,7 @@ import numpy as np
 
 from planes4 import exterior
 from planes4.grassmann import Plane
-from planes4.scanner import SetSample, TranslationSearch
+from planes4.scanner import SetSample
 from planes4.surfaces import TriMesh4
 
 
@@ -108,17 +108,18 @@ def characteristic_angles_oracle(p: Plane, q: Plane) -> tuple[float, float]:
 
 
 def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
-                               search: TranslationSearch | None = None):
+                               tol: float | None = None):
     """First dyadic scale (scanned from the origin) where the fit fails.
 
     Independent of the epsilon-process's sequential recentring: every
-    scale is tested in a window around the origin.  Returns None when the
-    floor is reached first.
+    scale is tested in a window around the origin.  ``tol`` defaults to
+    the process's 1e-4 * eps.  Returns None when the floor is reached
+    first.
     """
-    from planes4.scanner import _PairGeometry, _search_translate
+    from planes4.scanner import _PLANE_POINTS, _PairGeometry, _search_translate
 
-    if search is None:
-        search = TranslationSearch(tol=1e-4 * eps)
+    if tol is None:
+        tol = 1e-4 * eps
     geom = _PairGeometry(e, *planes)
     origin = np.zeros(4)
     n = 1          # the process pins q0 = q1 = 0 and starts searching at 1/2
@@ -126,8 +127,8 @@ def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
         s = 2.0 ** (-n)
         if s < floor:
             return None
-        ctx = geom.window_ctx(origin, s, 2.0 * s / search.plane_points)
-        _, d = _search_translate(ctx, search)
+        ctx = geom.window_ctx(origin, s, 2.0 * s / _PLANE_POINTS)
+        _, d = _search_translate(ctx, tol)
         if d > eps + 2.0 * e.resolution / s:
             return s
         n += 1
@@ -197,7 +198,7 @@ def window_mask_oracle(geom, x: np.ndarray, r: float) -> np.ndarray:
 
 
 def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
-                            search: TranslationSearch = TranslationSearch()):
+                            tol: float = 1e-6):
     """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
 
     Every candidate gets its full set-side sup and a full lattice query;
@@ -208,12 +209,13 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     """
     from scipy.spatial import cKDTree
 
-    from planes4.scanner import _SEARCH_POINT_CAP, _PairGeometry
+    from planes4.scanner import (_GRID_N, _MAX_ROUNDS, _PLANE_POINTS, _SEARCH_POINT_CAP,
+                                 _PairGeometry)
 
     x = np.asarray(x, dtype=float)
     geom = _PairGeometry(e, *planes)
     tree = cKDTree(e.points)
-    spacing = 2.0 * r / search.plane_points
+    spacing = 2.0 * r / _PLANE_POINTS
     mask = window_mask_oracle(geom, x, r)
     idx = np.flatnonzero(mask)
     sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
@@ -248,7 +250,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     if not mask.any():
         return x.copy(), 0.0, exact(x)
     half = r / 4.0
-    ax = np.linspace(-half, half, search.grid_n)
+    ax = np.linspace(-half, half, _GRID_N)
     grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
     lowers = geom.sup_to_pair(n1, n2, grid) / r
     best_q, best_d = None, np.inf
@@ -258,8 +260,8 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
         d = value(grid[k])
         if d < best_d - 1e-15:
             best_q, best_d = grid[k].copy(), d
-    step = half / max(search.grid_n - 1, 1)
-    for _ in range(search.max_rounds):
+    step = half / max(_GRID_N - 1, 1)
+    for _ in range(_MAX_ROUNDS):
         improved = 0.0
         for coord in range(4):
             for sign in (1.0, -1.0):
@@ -273,9 +275,9 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
                 if d < best_d - 1e-15:
                     improved += best_d - d
                     best_q, best_d = q, d
-        if improved < search.tol:
+        if improved < tol:
             step *= 0.5
-            if step < search.tol * r:
+            if step < tol * r:
                 break
     return best_q, exact(best_q), exact(x)
 

@@ -139,6 +139,7 @@ def test_plateau_small_run(tmp_path):
     ("0 0 0 0\n1 0 0\n0 1 0 0\n0 1 2\n", 3),       # short vertex line
     ("0 0 0 0\n1 0 0 0\n0 1 zero 0\n0 1 2\n", 4),  # non-numeric token
     ("0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 3\n", 5),     # face index out of range
+    ("0 0 0 0\n1e200 0 0 0\n0 1e200 0 0\n0 1 2\n", None),  # face area overflows
 ])
 def test_scan_malformed_mesh_is_config_error(tmp_path, capsys, body, line):
     mesh_path = tmp_path / "bad.mesh4"
@@ -146,7 +147,8 @@ def test_scan_malformed_mesh_is_config_error(tmp_path, capsys, body, line):
     rc = run_command(["scan", "--mesh", str(mesh_path), "--eps", "0.01",
                       "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert f"configuration error: {mesh_path}:{line}: " in capsys.readouterr().err
+    where = mesh_path if line is None else f"{mesh_path}:{line}"
+    assert f"configuration error: {where}: " in capsys.readouterr().err
 
 
 def test_unknown_flag_exit_code(tmp_path, capsys):
@@ -160,6 +162,11 @@ def test_unknown_flag_exit_code(tmp_path, capsys):
     (["annulus", "--mode", "exact", "--r0", "0.5", "--acoef", "1,x"], "--acoef"),
     (["wirtinger", "--samples", "-5"], "--samples"),
     (["bounds", "--alpha-steps", "-2"], "--alpha-steps"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--iters", "-3"], "--iters"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--segments", "-1"], "--segments"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--resolution", "x"], "--resolution"),
+    (["annulus", "--mode", "log", "--r0", "0.1", "--fd-check", "--grid-r", "-5"], "--grid-r"),
+    (["bounds", "--alpha1", "nan", "--alpha2", "1"], "--alpha1"),
 ])
 def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag):
     rc = run_command(argv + ["--out", str(tmp_path / "z")])

@@ -118,14 +118,14 @@ def test_area_gradient_central_differences():
 
 def test_minimize_flat_disk_is_stationary():
     m = pl.build_union_mesh(*ORTH, 64)
-    res = pl.minimize_area(m, pl.OptimizerConfig(max_iters=50))
+    res = pl.minimize_area(m, max_iters=50)
     assert res.stopped == "converged"
     assert np.max(np.linalg.norm(res.mesh.vertices - m.vertices, axis=1)) <= 1e-8
 
 
 def test_minimize_monotone_trace_and_boundary_fidelity():
     m = pl.build_pinched_competitor(*ORTH, 0.2, 96)
-    res = pl.minimize_area(m, pl.OptimizerConfig(max_iters=60))
+    res = pl.minimize_area(m, max_iters=60)
     assert (np.diff(res.trace) <= 1e-12).all()
     assert np.array_equal(res.mesh.vertices[m.fixed], m.vertices[m.fixed])
     assert np.max(np.linalg.norm(res.mesh.vertices, axis=1)) <= 1.0 + 1e-12
@@ -140,8 +140,8 @@ def test_minimize_requires_fixed_boundary():
 
 def test_minimize_deterministic():
     m = pl.build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 64)
-    r1 = pl.minimize_area(m, pl.OptimizerConfig(max_iters=40))
-    r2 = pl.minimize_area(m, pl.OptimizerConfig(max_iters=40))
+    r1 = pl.minimize_area(m, max_iters=40)
+    r2 = pl.minimize_area(m, max_iters=40)
     assert np.array_equal(r1.mesh.vertices, r2.mesh.vertices)
     assert np.array_equal(r1.trace, r2.trace)
 
@@ -184,11 +184,10 @@ def test_certificate_rejects_low_resolution():
 # -------------------------------------------------------------- experiment
 
 def test_experiment_orthogonal_unpinched_certified():
-    cfg = pl.ExperimentConfig(*ORTH, boundary_segments=128,
-                              optimizer=pl.OptimizerConfig(max_iters=30))
+    cfg = pl.ExperimentConfig(*ORTH, boundary_segments=128, max_iters=30)
     rep = pl.run_experiment(cfg)
     assert rep.verdict == "certified-optimal"
-    assert rep.stopped == "converged" and rep.grad_norm < cfg.optimizer.tol_grad
+    assert rep.stopped == "converged" and rep.grad_norm < pl.TOL_GRAD
     assert rep.final_area <= rep.initial_area + 1e-12
     assert rep.shadows_cover == (True, True)
     assert rep.certificate_bound <= rep.final_area + rep.tolerance
@@ -196,19 +195,17 @@ def test_experiment_orthogonal_unpinched_certified():
 
 def test_experiment_small_angle_pinch_improves():
     cfg = pl.ExperimentConfig(np.pi / 6, np.pi / 6, boundary_segments=128,
-                              pinch_radius=0.2,
-                              optimizer=pl.OptimizerConfig(max_iters=30))
+                              pinch_radius=0.2, max_iters=30)
     rep = pl.run_experiment(cfg)
     assert rep.verdict == "improved"
-    assert rep.stopped == "max-iters" and rep.grad_norm > cfg.optimizer.tol_grad
+    assert rep.stopped == "max-iters" and rep.grad_norm > pl.TOL_GRAD
     assert rep.final_area < 2 * np.pi - 5e-2
 
 
 def test_experiment_orthogonal_pinch_never_improves():
     for pinch in (0.1, 0.3):
         cfg = pl.ExperimentConfig(*ORTH, boundary_segments=128,
-                                  pinch_radius=pinch,
-                                  optimizer=pl.OptimizerConfig(max_iters=40))
+                                  pinch_radius=pinch, max_iters=40)
         rep = pl.run_experiment(cfg)
         assert rep.verdict != "improved"
         assert rep.final_area >= rep.certificate_bound - rep.tolerance

@@ -104,8 +104,7 @@ def test_nested_shell_contrast():
 def test_best_translation_recovers_exact_translate():
     v = np.array([0.01, -0.02, 0.015, 0.005])
     e = sc.SetSample(small_plane_sample(4e-3).points + v, 4e-3)
-    q, d = sc.best_translation(e, PLANES, np.zeros(4), 1.0,
-                               sc.TranslationSearch(tol=1e-7))
+    q, d = sc.best_translation(e, PLANES, np.zeros(4), 1.0, tol=1e-7)
     assert np.linalg.norm(q - v) <= 5e-3
     assert d <= 2e-3 + e.resolution
 
@@ -114,8 +113,7 @@ def test_best_translation_bump_scales_like_height_over_radius():
     rho, height = 0.05, 0.02
     e = sc.pinched_pair_sample(rho, height, spacing=4e-3)
     for r in (1.0, 0.5):
-        _, d = sc.best_translation(e, PLANES, np.zeros(4), r,
-                                   sc.TranslationSearch(tol=1e-6))
+        _, d = sc.best_translation(e, PLANES, np.zeros(4), r, tol=1e-6)
         assert d == pytest.approx(height / r, rel=0.25)
 
 
@@ -171,9 +169,8 @@ ORACLE_SAMPLES = ("exact", "translated", "pinched", "outlier", "flat_mesh", "pin
 
 def assert_search_matches_oracle(name, x, r):
     e = oracle_sample(name)
-    search = sc.TranslationSearch(tol=1e-3)
-    q, d = sc.best_translation(e, PLANES, x, r, search)
-    oq, od, _ = search_translate_oracle(e, PLANES, x, r, search)
+    q, d = sc.best_translation(e, PLANES, x, r, tol=1e-3)
+    oq, od, _ = search_translate_oracle(e, PLANES, x, r, tol=1e-3)
     assert np.array_equal(q, oq), (name, x, r, q, oq)
     assert d == od, (name, x, r, d, od)
 
@@ -218,9 +215,9 @@ def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypat
         assert np.array_equal(ctx.idx, np.flatnonzero(window_mask_oracle(geom, ctx.x, ctx.r)))
         assert np.array_equal(ctx.wide,
                               np.flatnonzero(window_mask_oracle(geom, ctx.x, 2.0 * ctx.r)))
-    search = sc.TranslationSearch(tol=1e-4 * eps)
     for step, (_, ctx, _) in zip(rep.steps, made):
-        oq, od, carried = search_translate_oracle(e, PLANES, step.center, step.scale, search)
+        oq, od, carried = search_translate_oracle(e, PLANES, step.center, step.scale,
+                                                  tol=1e-4 * eps)
         assert np.array_equal(step.best_q, oq) and step.best_dist == od, step.index
         assert step.carried == carried, step.index
         assert step.window_points == len(ctx.idx) > 0

@@ -159,10 +159,10 @@ def test_shadow_rejects_low_resolution():
 
 @pytest.mark.parametrize("pinch", [0.05, 0.2])
 def test_shadow_bitmap_matches_oracle_on_descended_competitor(pinch):
-    from planes4.plateau import OptimizerConfig, build_pinched_competitor, minimize_area
+    from planes4.plateau import build_pinched_competitor, minimize_area
     a = np.pi / 6
     m = build_pinched_competitor(a, a, pinch, 256)
-    m = minimize_area(m, OptimizerConfig(max_iters=5)).mesh
+    m = minimize_area(m, max_iters=5).mesh
     cell = 1.0 / 256
     for plane in gr.canonical_pair(a, a):
         tris = (m.vertices @ plane.basis.T)[m.faces]
@@ -509,6 +509,8 @@ BAD_MESH4 = {
     "file-ends-early": ("MESH4 3 2\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2\n", 6),
     "boundary-index-out-of-range": ("MESH4 3 1\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 2\nB 0 7\n", 6),
     "bad-header-count": ("MESH4 3 one\n", 1),
+    # finite coordinates whose face area overflows: validation names the file
+    "overflowing-face-area": ("MESH4 3 1\n0 0 0 0\n1e200 0 0 0\n0 1e200 0 0\n0 1 2\n", None),
 }
 
 
@@ -517,7 +519,8 @@ def test_mesh4_reader_names_file_and_line(tmp_path, case):
     text, line = BAD_MESH4[case]
     path = tmp_path / "bad.mesh4"
     path.write_text(text)
-    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}:{line}: ")):
+    where = path if line is None else f"{path}:{line}"
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{where}: ")):
         sf.read_mesh4(path)
 
 
