@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 BoundaryData = Callable[[np.ndarray], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -72,7 +72,7 @@ class AnnulusSpec:
 
     def __post_init__(self):
         if not (0.0 < self.r0 < self.outer):
-            raise ValueError(f"need 0 < r0 < outer, got r0={self.r0}, outer={self.outer}")
+            raise ConfigError(f"need 0 < r0 < outer, got r0={self.r0}, outer={self.outer}")
 
 
 def fourier_decompose(samples: np.ndarray, order: int) -> FourierBoundary:
@@ -105,7 +105,7 @@ def fourier_decompose(samples: np.ndarray, order: int) -> FourierBoundary:
 def annulus_energy_exact(fb: FourierBoundary, r0: float) -> float:
     """Dirichlet energy over B(0,1/r0) \\ B(0,r0) of the reflected extension."""
     if not (0.0 < r0 < 1.0):
-        raise ValueError(f"r0 must lie in (0, 1), got {r0}")
+        raise ConfigError(f"r0 must lie in (0, 1), got {r0}")
     n = np.arange(1, fb.order + 1, dtype=float)
     ratio = np.tanh(n * abs(np.log(r0)))   # (r0^-n - r0^n) / (r0^n + r0^-n)
     return float(2.0 * np.pi * np.sum(n * (fb.a**2 + fb.b**2) * ratio))
@@ -128,10 +128,10 @@ def reflection_lower_bound(data: FourierBoundary | np.ndarray, spec: AnnulusSpec
     d = np.hypot(*spec.center)
     if spec.center == (0.0, 0.0):
         if not spec.r0 < 0.5 * spec.outer:
-            raise ValueError(f"centered bound needs r0 < outer/2, got r0={spec.r0}")
+            raise ConfigError(f"centered bound needs r0 < outer/2, got r0={spec.r0}")
     else:
         if not spec.r0 < 0.5 * (spec.outer - d):
-            raise ValueError(
+            raise ConfigError(
                 f"off-center bound needs r0 < dist(center, outer circle)/2, "
                 f"got r0={spec.r0}, dist={spec.outer - d}"
             )
@@ -147,12 +147,12 @@ def log_annulus_bound(delta: float, r0: float, eps: float | None = None):
     (1 - 2/C)^2 >= eps, for boundary data only pinned within delta*r0/C.
     """
     if not (0.0 < r0 < 1.0):
-        raise ValueError(f"r0 must lie in (0, 1), got {r0}")
+        raise ConfigError(f"r0 must lie in (0, 1), got {r0}")
     base = 2.0 * np.pi * delta**2 * r0**2 / abs(np.log(r0))
     if eps is None:
         return float(base)
     if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     c = max(101.0, 2.0 / (1.0 - np.sqrt(eps)))
     return float(eps * base), float(c)
 
@@ -183,7 +183,7 @@ def fd_oracle(
     """
     n_r, n_t = grid
     if n_r < 64 or n_t < 256:
-        raise ValueError(f"grid must be at least 64 radial x 256 angular, got {grid}")
+        raise ConfigError(f"grid must be at least 64 radial x 256 angular, got {grid}")
     theta = np.arange(n_t) * (2.0 * np.pi / n_t)
     u_in = _boundary_values(inner, theta)
     u_out = _boundary_values(outer, theta)
@@ -218,11 +218,13 @@ def fd_oracle(
     sol[-1] = dp[-1]
     for i in range(n_int - 2, -1, -1):
         sol[i] = dp[i] - cp[i] * sol[i + 1]
+    del rhs, cp, dp                  # grid-sized: free them before u and its temporaries
 
     u = np.empty((n_r + 1, n_t))
     u[0] = u_in
     u[-1] = u_out
     u[1:-1] = np.fft.irfft(sol, n=n_t, axis=1)
+    del sol
 
     residual = float(np.max(np.abs(
         u[:-2] + u[2:] - 2.0 * u[1:-1]

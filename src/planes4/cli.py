@@ -204,12 +204,10 @@ def _cmd_annulus(args) -> dict:
                 fd_v = annulus.fd_oracle(vals, vals, spec, (args.grid_r, args.grid_t))
                 fd_err = abs(fd_v - value) / value if value else 0.0
             rows.append(["exact", r0, "", "", value, "", fd_v, fd_err])
-        elif args.mode == "reflect":
+        else:                     # argparse admits only the three modes
             spec = annulus.AnnulusSpec(r0, center=(args.qx, args.qy))
             value = annulus.reflection_lower_bound(fb, spec)
             rows.append(["reflect", r0, "", "", value, "", "", ""])
-        else:
-            raise ConfigError(f"unknown annulus mode {args.mode!r}")
     record = {"mode": args.mode, "value": rows[0][4]}
     return {"header": header, "rows": rows, "record": record}
 
@@ -278,7 +276,7 @@ def _cmd_plateau(args, out: Path) -> dict:
                      rep.initial_area, rep.final_area, rep.certificate_bound,
                      rep.shadows_cover[0], rep.shadows_cover[1],
                      rep.verdict, len(rep.area_trace) - 1, rep.tolerance])
-        if args.write_mesh and rep.final_mesh is not None:
+        if args.write_mesh:
             tag = f"{rep.config.pinch_radius:g}".replace(".", "p")
             write_mesh4(out / f"final_{tag}.mesh4", rep.final_mesh)
     def by_pinch(field: str) -> dict:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exterior
+from .errors import ConfigError
 from .rng import SplitMix64
 
 _ORTHO_TOL = 1e-12
@@ -95,7 +96,7 @@ def canonical_pair(alpha1: float, alpha2: float) -> tuple[Plane, Plane]:
     P2 = span(cos a1 e1 + sin a1 e3, cos a2 e2 + sin a2 e4).
     """
     if not (0.0 <= alpha1 <= alpha2 <= np.pi / 2 + 1e-15):
-        raise ValueError(
+        raise ConfigError(
             f"angles must satisfy 0 <= alpha1 <= alpha2 <= pi/2, got ({alpha1}, {alpha2})"
         )
     p2 = Plane(np.array([
@@ -183,6 +184,8 @@ def xi_membership(xi: np.ndarray, tol: float = 1e-8) -> bool:
     The input must be a unit simple 2-vector within tol; anything else is
     rejected rather than silently classified.
     """
+    if not tol > 0:
+        raise ConfigError(f"membership tolerance must be positive, got {tol}")
     xi = np.asarray(xi, dtype=float)
     n = exterior.norm(xi)
     if abs(n - 1.0) > tol:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import exterior
 from .bounds import projection_sums, wirtinger_bound
+from .errors import ConfigError
 from .grassmann import Plane, canonical_pair, characteristic_angles
 from .surfaces import TriMesh4, area, face_tangents, shadow_area
 
@@ -44,11 +45,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not (0.0 < self.alpha1 <= self.alpha2 <= np.pi / 2 + 1e-15):
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 < alpha1 <= alpha2 <= pi/2, got ({self.alpha1}, {self.alpha2})"
             )
         if not (0.0 <= self.pinch_radius < 0.5):
-            raise ValueError(f"pinch radius must lie in [0, 0.5), got {self.pinch_radius}")
+            raise ConfigError(f"pinch radius must lie in [0, 0.5), got {self.pinch_radius}")
+        if self.boundary_segments < 32:
+            raise ConfigError(f"need at least 32 boundary segments, got {self.boundary_segments}")
+        if self.resolution < 128:
+            raise ConfigError(f"certificate resolution must be >= 128, got {self.resolution}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class ExperimentReport:
     tolerance: float                 # rasterization + discretization allowance
     stopped: str                     # descent stop reason, as in MinimizeResult
     grad_norm: float                 # free-vertex gradient norm at the final mesh
-    final_mesh: TriMesh4 | None = None
+    final_mesh: TriMesh4
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ def build_pinched_competitor(alpha1: float, alpha2: float,
     if n < 32:
         raise ValueError(f"need at least 32 boundary segments, got {n}")
     if pinch_radius < 4.0 / n:
-        raise ValueError(
+        raise ConfigError(
             f"pinch radius {pinch_radius} too small for {n} segments: "
             "the connector tube would be degenerate"
         )

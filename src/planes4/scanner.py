@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import thread_count
+from .errors import ConfigError
 from .grassmann import Plane
 from .surfaces import TriMesh4
 
@@ -143,24 +144,21 @@ _SET_CHUNK = 16_384
 
 
 class _PairGeometry:
-    """Cached projections for a plane pair and one sampled set."""
+    """Cached projections for a plane pair and one sampled set.
+
+    ``tree`` is the one kd-tree of the scan: it holds the whole sample, so
+    every lattice query in every window is answered exactly by it.
+    """
 
     def __init__(self, e: SetSample, p1: Plane, p2: Plane):
+        from scipy.spatial import cKDTree
         self.e = e
         self.planes = (p1, p2)
         self.comp = (_complement_basis(p1), _complement_basis(p2))
         pts = e.points
         self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
         self.normal = (pts @ self.comp[0].T, pts @ self.comp[1].T)
-        self._tree = None
-
-    @property
-    def tree(self):
-        """kd-tree of the whole sample, built on first use."""
-        if self._tree is None:
-            from scipy.spatial import cKDTree
-            self._tree = cKDTree(self.e.points)
-        return self._tree
+        self.tree = cKDTree(pts)
 
     def window_index(self, x: np.ndarray, r: float,
                      within: np.ndarray | None = None) -> np.ndarray:
@@ -221,15 +219,13 @@ class _PairGeometry:
 
 
 class _WindowCtx:
-    """One scan window: its points, search subsample, and a local kd-tree.
+    """One scan window: its points and the search subsample.
 
-    The local tree holds the sample points inside D(x, 2r); for a query
-    point inside D(x, r) whose nearest sample lies outside D(x, 2r) the
-    true distance exceeds r, so any local answer <= r is already exact and
-    larger ones fall back to the full tree.  ``within`` (ascending indices
-    holding every point of D(x, 2r)) narrows the window masks to a parent
-    window's points.  ``candidates`` and ``rejected_early`` count the
-    search's evaluations in this window.
+    ``wide`` holds the sample points inside D(x, 2r).  It serves only as
+    the superset the next window's masks are cut from: ``within``
+    (ascending indices holding every point of D(x, 2r)) narrows this
+    window's masks to a parent window's points.  ``candidates`` and
+    ``rejected_early`` count the search's evaluations in this window.
     """
 
     def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float, spacing: float,
@@ -244,28 +240,13 @@ class _WindowCtx:
         sub = self.idx[::stride]
         self.n1 = geom.normal[0][sub]
         self.n2 = geom.normal[1][sub]
-        self.local_is_full = len(self.wide) == len(geom.e.points)
-        if self.local_is_full:
-            self.local_tree = geom.tree
-        elif len(self.wide):
-            from scipy.spatial import cKDTree
-            self.local_tree = cKDTree(geom.e.points[self.wide])
-        else:
-            self.local_tree = None
         self.candidates = 0
         self.rejected_early = 0
         self._probe = 0              # lattice index that rejected the last candidate
 
     def nearest(self, lat: np.ndarray) -> np.ndarray:
         """Distance from each lattice point to the whole sample."""
-        workers = thread_count()
-        if self.local_tree is None:
-            return self.geom.tree.query(lat, workers=workers)[0]
-        d = self.local_tree.query(lat, workers=workers)[0]
-        far = d > self.r
-        if far.any() and not self.local_is_full:
-            d[far] = self.geom.tree.query(lat[far], workers=workers)[0]
-        return d
+        return self.geom.tree.query(lat, workers=thread_count())[0]
 
     def lattice_sup(self, q: np.ndarray) -> float:
         lat = self.geom.pair_lattice(self.x, self.r, q, self.spacing)
@@ -273,14 +254,10 @@ class _WindowCtx:
             return 0.0
         return float(self.nearest(lat).max())
 
-    def set_sup(self, qs: np.ndarray) -> np.ndarray:
-        """Lower bound side: sup over (subsampled) window points to pair + q."""
-        return self.geom.sup_to_pair(self.n1, self.n2, qs)
-
     def beats(self, q: np.ndarray, best_d: float, lo: float | None = None) -> float | None:
         """Search value at q if it is below best_d - 1e-15, else None.
 
-        The value is max(set_sup, lattice_sup) / r, and ``lo`` is its set
+        The value is max(set-side sup, lattice_sup) / r, and ``lo`` is its set
         side when the caller has it.  The lattice side goes first, starting
         at the lattice index that rejected the previous candidate, then both
         sides in blocks.  Partial sups only grow and division by r is
@@ -328,8 +305,7 @@ class _WindowCtx:
 
 
 def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
-                     r: float, tol: float = 1e-6,
-                     _geom: _PairGeometry | None = None) -> tuple[np.ndarray, float]:
+                     r: float, tol: float = 1e-6) -> tuple[np.ndarray, float]:
     """Minimize the relative distance to the translated pair over a 4d box.
 
     The translate is confined to the coordinate box |q - x|_inf <= r/4
@@ -338,11 +314,11 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     halving the step after a round that improves by less than ``tol``; the
     pair lattice has 48 points per window diameter.  Very large windows
     are subsampled for the search itself, but the returned distance is
-    the exact full-window value at the returned translate.
+    the exact full-window value at the returned translate.  Lattice
+    distances come from one kd-tree over the whole sample.
     """
     x = np.asarray(x, dtype=float)
-    geom = _geom if _geom is not None else _PairGeometry(e, *planes)
-    ctx = geom.window_ctx(x, r, 2.0 * r / _PLANE_POINTS)
+    ctx = _PairGeometry(e, *planes).window_ctx(x, r, 2.0 * r / _PLANE_POINTS)
     return _search_translate(ctx, tol)
 
 
@@ -357,7 +333,7 @@ def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
 
     # the set-to-pair sup is a lower bound on the objective: evaluate coarse
     # candidates in that order and skip any that cannot win
-    sups = ctx.set_sup(grid)
+    sups = ctx.geom.sup_to_pair(ctx.n1, ctx.n2, grid)
     lowers = sups / r
     best_q, best_d = None, np.inf
     for k in np.argsort(lowers, kind="stable"):
@@ -402,9 +378,9 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     tol = 1e-4 * eps.
     """
     if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     if floor < 2.0 * e.resolution:
-        raise ValueError(
+        raise ConfigError(
             f"floor {floor} below twice the sample resolution {e.resolution}"
         )
     tol = 1e-4 * eps
@@ -472,7 +448,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
 def sample_mesh(mesh: TriMesh4, spacing: float) -> SetSample:
     """Sample a mesh by vertices plus barycentric face-interior points."""
     if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+        raise ConfigError(f"spacing must be positive, got {spacing}")
     pts = [mesh.vertices]
     v = mesh.vertices[mesh.faces]
     edge = max(

@@ -83,9 +83,6 @@ class TriMesh4:
         if not (deg[self.fixed] == 2).all():
             raise ValueError("fixed vertices do not form closed boundary polylines")
 
-    def copy(self) -> "TriMesh4":
-        return TriMesh4(self.vertices.copy(), self.faces.copy(), self.fixed.copy())
-
 
 def _edge_wedges(mesh: TriMesh4) -> np.ndarray:
     v = mesh.vertices[mesh.faces]

@@ -220,23 +220,12 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     idx = np.flatnonzero(mask)
     sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
     n1, n2 = geom.normal[0][sub], geom.normal[1][sub]
-    wide = window_mask_oracle(geom, x, 2.0 * r)
-    if wide.all():
-        local = tree
-    else:
-        local = cKDTree(e.points[wide]) if wide.any() else None
 
     def lattice_sup(q):
         lat = geom.pair_lattice(x, r, q, spacing)
         if not len(lat):
             return 0.0
-        if local is None:
-            return float(tree.query(lat)[0].max())
-        d = local.query(lat)[0]
-        far = d > r
-        if far.any() and local is not tree:
-            d[far] = tree.query(lat[far])[0]
-        return float(d.max())
+        return float(tree.query(lat)[0].max())
 
     def value(q):
         return max(float(geom.sup_to_pair(n1, n2, q)[0]), lattice_sup(q)) / r

@@ -10,6 +10,7 @@ import pytest
 
 import planes4
 from planes4.cli import main, run_command
+from planes4.errors import NumericalError
 from planes4.plateau import build_union_mesh
 from planes4.surfaces import write_mesh4
 
@@ -175,11 +176,53 @@ def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag
     assert "configuration error" in err and flag in err
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    rc = run_command(["annulus", "--mode", "log", "--delta", "1",
-                      "--r0", "1.5", "--out", str(tmp_path / "y")])
+OUT_OF_RANGE = [
+    (["plateau", "--alpha1", "2", "--alpha2", "2"], "(2.0, 2.0)"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--segments", "10"], "got 10"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.7"], "got 0.7"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.01"], "radius 0.01"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--resolution", "10"], "got 10"),
+    (["annulus", "--mode", "exact", "--r0", "1.5"], "got 1.5"),
+    (["annulus", "--mode", "reflect", "--r0", "0.6"], "r0=0.6"),
+    (["annulus", "--mode", "log", "--r0", "0.1", "--eps", "1.5"], "got 1.5"),
+    (["annulus", "--mode", "log", "--r0", "0.1", "--fd-check", "--grid-r", "10"], "(10, 512)"),
+    (["scan", "--eps", "2"], "got 2.0"),
+    (["scan", "--eps", "0.01", "--density", "0"], "got 0.0"),
+    (["scan", "--eps", "0.01", "--floor", "0.001"], "floor 0.001"),
+    (["scan", "--eps", "0.01", "--alpha1", "2"], "(2.0, "),
+    (["bounds", "--alpha1", "2", "--alpha2", "2"], "(2.0, 2.0)"),
+    (["wirtinger", "--tol", "-1"], "got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, value", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, monkeypatch, argv, value):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent ran before the range check")
+
+    monkeypatch.setattr("planes4.plateau.minimize_area", no_descent)
+    if argv[0] == "scan":
+        mesh_path = tmp_path / "union.mesh4"
+        write_mesh4(mesh_path, build_union_mesh(np.pi / 2, np.pi / 2, 32))
+        argv = argv + ["--mesh", str(mesh_path)]
+        if "--density" not in argv:
+            argv += ["--density", "0.04"]
+    rc = run_command(argv + ["--out", str(tmp_path / "z")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "configuration error" in err and value in err, err
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def diverges(*args, **kwargs):
+        raise NumericalError("annulus solve did not converge: residual 1.000e+00")
+
+    monkeypatch.setattr("planes4.annulus.fd_oracle", diverges)
+    rc = run_command(["annulus", "--mode", "log", "--delta", "1", "--r0", "0.1",
+                      "--fd-check", "--out", str(tmp_path / "y")])
     assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: annulus solve did not converge" in capsys.readouterr().err
 
 
 def test_config_file_supplies_flags(tmp_path):

@@ -175,10 +175,10 @@ def assert_search_matches_oracle(name, x, r):
     assert d == od, (name, x, r, d, od)
 
 
-# the pinched mesh is the costliest sample: its only scale is the one
-# whose wide window holds the whole mesh, so the full tree is the local one
+# the pinched mesh is the costliest sample, so it runs at two scales only;
+# at 0.125 the lattice points near its neck lie farther than r from it
 @pytest.mark.parametrize("name,r", [(n, r) for n in ORACLE_SAMPLES[:-1] for r in (0.5, 0.25, 0.125)]
-                         + [("pinched_mesh", 0.5), ("hole", 0.1)])
+                         + [("pinched_mesh", 0.5), ("pinched_mesh", 0.125), ("hole", 0.1)])
 def test_search_bitwise_equals_exhaustive_oracle(name, r):
     assert_search_matches_oracle(name, np.zeros(4), r)
     assert_search_matches_oracle(name, np.array([0.03, -0.02, 0.01, 0.04]), r)
@@ -227,16 +227,15 @@ def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypat
 
 
 @pytest.mark.parametrize("with_core_point", [True, False])
-def test_lattice_fallback_builds_full_tree_and_matches_brute_force(with_core_point):
+def test_lattice_nearest_matches_brute_force(with_core_point):
     # with the core point, D(0, 2r) holds only it and lattice points on the
-    # far side of the window lie nearer the hole's rim (fallback); without
-    # it the wide window is empty and every query goes to the full tree
+    # far side of the window lie nearer the hole's rim; without it the wide
+    # window is empty
     r = 0.1
     e = hole_sample(r, with_core_point)
     geom = sc._PairGeometry(e, *PLANES)
     ctx = geom.window_ctx(np.zeros(4), r, 2.0 * r / 48)
     assert len(ctx.wide) == int(with_core_point)
-    assert geom._tree is None
     for q in (np.zeros(4), np.array([0.02, -0.01, 0.0, 0.01])):
         lat = geom.pair_lattice(ctx.x, r, q, ctx.spacing)
         brute = np.concatenate([
@@ -244,21 +243,9 @@ def test_lattice_fallback_builds_full_tree_and_matches_brute_force(with_core_poi
             for a in range(0, len(lat), 64)])
         if with_core_point:
             local = np.linalg.norm(lat - e.points[-1], axis=1)
-            assert np.any(brute < local - 0.1 * r)      # the fallback changes answers
+            assert np.any(brute < local - 0.1 * r)      # the wide window alone is not enough
         np.testing.assert_allclose(ctx.nearest(lat), brute, rtol=1e-12, atol=0)
         assert ctx.lattice_sup(q) == pytest.approx(float(brute.max()), rel=1e-12)
-    assert geom._tree is not None
-    if with_core_point:
-        geom = sc._PairGeometry(e, *PLANES)
-        sc.best_translation(e, PLANES, np.zeros(4), r, _geom=geom)
-        assert geom._tree is not None           # the search took the fallback too
-
-
-def test_full_tree_is_lazy():
-    e = oracle_sample("pinched")
-    geom = sc._PairGeometry(e, *PLANES)
-    sc.best_translation(e, PLANES, np.zeros(4), 0.25, _geom=geom)
-    assert geom._tree is None
 
 
 # ----------------------------------------------------------- epsilon process
