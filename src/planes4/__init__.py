@@ -4,7 +4,7 @@ The package is organized by subject:
 
 * ``exterior``  -- 2-vector algebra on R^4 (wedge, inner product, Pluecker test)
 * ``grassmann`` -- planes, characteristic angles, projectors, the equality set Xi
-* ``bounds``    -- projection-sum bounds and supremum searches
+* ``bounds``    -- projection-sum bounds and their closed-form supremum
 * ``annulus``   -- harmonic-extension Dirichlet energies on planar annuli
 * ``surfaces``  -- triangulated surfaces in R^4, areas, shadows, graph bounds
 * ``scanner``   -- multiscale flatness scan (dyadic stopping-time process)

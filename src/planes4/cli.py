@@ -220,6 +220,8 @@ def _cmd_scan(args) -> dict:
         mesh = read_mesh4(args.mesh)
     except OSError as exc:
         raise ConfigError(f"cannot read mesh file {args.mesh}: {exc}") from exc
+    if not len(mesh.vertices):
+        raise ConfigError(f"{args.mesh}: the mesh has no vertices to sample")
     sample = scanner.sample_mesh(mesh, args.density)
     p1, p2 = grassmann.canonical_pair(args.alpha1, args.alpha2)
     floor = args.floor if args.floor is not None else 2.0 * args.density
@@ -250,6 +252,10 @@ def _cmd_scan(args) -> dict:
 def _cmd_plateau(args, out: Path) -> dict:
     pinches = (_float_list("--pinch-sweep", args.pinch_sweep) if args.pinch_sweep
                else [args.pinch])
+    keys = [f"{p:g}" for p in pinches]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"--pinch-sweep: radii {args.pinch_sweep!r} repeat a %g key "
+                          "(mesh file names and record entries would collide)")
 
     def run(p: float) -> plateau.ExperimentReport:
         cfg = plateau.ExperimentConfig(
@@ -414,6 +420,9 @@ def _build_parser() -> _Parser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags (command line wins)."""
+    # argparse also takes --config=FILE: split it so both spellings read the file
+    argv = [part for tok in argv
+            for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")

@@ -92,26 +92,20 @@ def build_union_mesh(alpha1: float, alpha2: float, n: int) -> TriMesh4:
         raise ValueError(f"need at least 32 boundary segments, got {n}")
     p1, p2 = canonical_pair(alpha1, alpha2)
     verts = np.vstack([np.zeros((1, 4)), _ring(p1, 1.0, n), _ring(p2, 1.0, n)])
-    faces = []
-    for base in (1, 1 + n):
-        for k in range(n):
-            faces.append([0, base + k, base + (k + 1) % n])
+    rims = np.arange(1, 2 * n + 1).reshape(2, n)
+    faces = np.stack([np.zeros_like(rims), rims, np.roll(rims, -1, axis=1)], axis=-1)
     fixed = np.ones(len(verts), dtype=bool)
     fixed[0] = False
-    return TriMesh4(verts, np.array(faces), fixed)
+    return TriMesh4(verts, faces.reshape(-1, 3), fixed)
 
 
-def _annulus_block(plane: Plane, radii: np.ndarray, n: int, offset: int):
-    verts = np.concatenate([_ring(plane, r, n) for r in radii])
-    faces = []
-    for j in range(len(radii) - 1):
-        a = offset + j * n
-        b = offset + (j + 1) * n
-        for k in range(n):
-            k1 = (k + 1) % n
-            faces.append([a + k, b + k, b + k1])
-            faces.append([a + k, b + k1, a + k1])
-    return verts, faces
+def _strip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Faces (a_k, b_k, b_k+1), (a_k, b_k+1, a_k+1) joining closed index rings.
+
+    a and b hold one ring per row (..., n); rows pair up in order.
+    """
+    a1, b1 = np.roll(a, -1, axis=-1), np.roll(b, -1, axis=-1)
+    return np.stack([a, b, b1, a, b1, a1], axis=-1).reshape(-1, 3)
 
 
 def build_pinched_competitor(alpha1: float, alpha2: float,
@@ -137,35 +131,20 @@ def build_pinched_competitor(alpha1: float, alpha2: float,
     p1, p2 = canonical_pair(alpha1, alpha2)
     n_r = max(4, round(n / 12))
     radii = pinch_radius ** (1.0 - np.arange(n_r + 1) / n_r)   # rho ... 1, geometric
-
-    v1, f1 = _annulus_block(p1, radii, n, 0)
-    off2 = len(v1)
-    v2, f2 = _annulus_block(p2, radii, n, off2)
-
+    disk1 = [_ring(p1, r, n) for r in radii]
+    disk2 = [_ring(p2, r, n) for r in radii]
     # tube rings interpolate inner circle of disk 1 -> inner circle of disk 2
     m_t = max(4, n // 32)
-    c1, c2 = v1[:n], v2[:n]
-    tube_verts = []
-    ring_ids = [np.arange(n)]                       # t = 0: disk-1 inner ring
-    off3 = off2 + len(v2)
-    for l in range(1, m_t):
-        t = l / m_t
-        tube_verts.append((1.0 - t) * c1 + t * c2)
-        ring_ids.append(off3 + (l - 1) * n + np.arange(n))
-    ring_ids.append(off2 + np.arange(n))            # t = 1: disk-2 inner ring
-    f3 = []
-    for l in range(m_t):
-        a, b = ring_ids[l], ring_ids[l + 1]
-        for k in range(n):
-            k1 = (k + 1) % n
-            f3.append([a[k], b[k], b[k1]])
-            f3.append([a[k], b[k1], a[k1]])
+    tube = [(1.0 - l / m_t) * disk1[0] + (l / m_t) * disk2[0] for l in range(1, m_t)]
 
-    verts = np.vstack([v1, v2] + ([np.concatenate(tube_verts)] if tube_verts else []))
-    faces = np.array(f1 + f2 + f3)
+    verts = np.vstack(disk1 + disk2 + tube)
+    rows = np.arange(len(verts)).reshape(-1, n)      # one vertex ring per row
+    d1, d2 = rows[:n_r + 1], rows[n_r + 1:2 * n_r + 2]
+    chain = np.vstack([d1[:1], rows[2 * n_r + 2:], d2[:1]])   # inner ring, tube, inner ring
+    faces = np.concatenate([_strip(c[:-1], c[1:]) for c in (d1, d2, chain)])
     fixed = np.zeros(len(verts), dtype=bool)
-    fixed[n_r * n:(n_r + 1) * n] = True             # outer ring, disk 1
-    fixed[off2 + n_r * n:off2 + (n_r + 1) * n] = True
+    fixed[d1[-1]] = True                             # outer rings
+    fixed[d2[-1]] = True
     return TriMesh4(verts, faces, fixed)
 
 

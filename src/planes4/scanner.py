@@ -213,29 +213,29 @@ class _PairGeometry:
             pts.append(y[_in_bicylinder(*inplane, self.planes, x, r)])
         return np.vstack(pts)
 
-    def window_ctx(self, x: np.ndarray, r: float, spacing: float,
-                   within: np.ndarray | None = None) -> "_WindowCtx":
-        return _WindowCtx(self, np.asarray(x, dtype=float), r, spacing, within)
-
 
 class _WindowCtx:
-    """One scan window: its points and the search subsample.
+    """One scan window: its points, the search subsample and the window value.
 
-    ``wide`` holds the sample points inside D(x, 2r).  It serves only as
-    the superset the next window's masks are cut from: ``within``
-    (ascending indices holding every point of D(x, 2r)) narrows this
-    window's masks to a parent window's points.  ``candidates`` and
+    ``value`` is the one routine for the window value max(set-side sup,
+    lattice sup) / r at a translate q: the search calls it with a bar to
+    reject candidates early, ``exact_value`` calls it with no bar on all
+    the window's points.  The pair lattice has ``_PLANE_POINTS`` points per
+    window diameter.  ``wide`` holds the sample points inside D(x, 2r).
+    It serves only as the superset the next window's masks are cut from:
+    ``within`` (ascending indices holding every point of D(x, 2r)) narrows
+    this window's masks to a parent window's points.  ``candidates`` and
     ``rejected_early`` count the search's evaluations in this window.
     """
 
-    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float, spacing: float,
+    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float,
                  within: np.ndarray | None = None):
         self.geom = geom
-        self.x = x
+        self.x = np.asarray(x, dtype=float)
         self.r = r
-        self.spacing = spacing
-        self.wide = geom.window_index(x, 2.0 * r, within)
-        self.idx = geom.window_index(x, r, self.wide)
+        self.spacing = 2.0 * r / _PLANE_POINTS
+        self.wide = geom.window_index(self.x, 2.0 * r, within)
+        self.idx = geom.window_index(self.x, r, self.wide)
         stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
         sub = self.idx[::stride]
         self.n1 = geom.normal[0][sub]
@@ -244,33 +244,21 @@ class _WindowCtx:
         self.rejected_early = 0
         self._probe = 0              # lattice index that rejected the last candidate
 
-    def nearest(self, lat: np.ndarray) -> np.ndarray:
-        """Distance from each lattice point to the whole sample."""
-        return self.geom.tree.query(lat, workers=thread_count())[0]
+    def value(self, q: np.ndarray, n1: np.ndarray, n2: np.ndarray,
+              bar: float = np.inf, lo: float | None = None) -> float | None:
+        """Window value at q, or None once a partial sup reaches ``bar``.
 
-    def lattice_sup(self, q: np.ndarray) -> float:
-        lat = self.geom.pair_lattice(self.x, self.r, q, self.spacing)
-        if not len(lat):
-            return 0.0
-        return float(self.nearest(lat).max())
-
-    def beats(self, q: np.ndarray, best_d: float, lo: float | None = None) -> float | None:
-        """Search value at q if it is below best_d - 1e-15, else None.
-
-        The value is max(set-side sup, lattice_sup) / r, and ``lo`` is its set
-        side when the caller has it.  The lattice side goes first, starting
-        at the lattice index that rejected the previous candidate, then both
-        sides in blocks.  Partial sups only grow and division by r is
-        monotone, so a partial sup that misses the bar rejects q, and a q
-        that survives every block has the very value a full evaluation
-        gives.
+        The value is max(set side, lattice side) / r, the set side taken
+        over the points with complement coordinates n1, n2, and ``lo`` is
+        that set side when the caller has it.  The lattice side goes first,
+        starting at the lattice index that rejected the previous candidate,
+        then the set side, both in blocks.  Partial sups only grow and
+        division by r is monotone, so a q that passes every block gets the
+        very value a full evaluation gives; with no bar nothing is rejected.
         """
-        self.candidates += 1
-        bar = best_d - 1e-15
         r = self.r
         m = 0.0 if lo is None else lo
         if m / r >= bar:
-            self.rejected_early += 1
             return None
         lat = self.geom.pair_lattice(self.x, r, q, self.spacing)
         if len(lat):
@@ -278,30 +266,32 @@ class _WindowCtx:
             blocks = [(p, p + 1)]
             blocks += [(a, a + _LATTICE_CHUNK) for a in range(0, len(lat), _LATTICE_CHUNK)]
             for a, b in blocks:
-                d = self.nearest(lat[a:b])
+                d = self.geom.tree.query(lat[a:b], workers=thread_count())[0]
                 k = int(np.argmax(d))
                 m = max(m, float(d[k]))
                 if m / r >= bar:
                     self._probe = a + k
-                    self.rejected_early += 1
                     return None
         if lo is None:
             q2 = q[None, :]
-            for a in range(0, len(self.n1), _SET_CHUNK):
-                d = self.geom.pair_dist(self.n1[a:a + _SET_CHUNK],
-                                        self.n2[a:a + _SET_CHUNK], q2)
+            for a in range(0, len(n1), _SET_CHUNK):
+                d = self.geom.pair_dist(n1[a:a + _SET_CHUNK], n2[a:a + _SET_CHUNK], q2)
                 m = max(m, float(d.max()))
                 if m / r >= bar:
-                    self.rejected_early += 1
                     return None
         return m / r
 
+    def beats(self, q: np.ndarray, best_d: float, lo: float | None = None) -> float | None:
+        """Search value at q if it is below best_d - 1e-15, else None."""
+        self.candidates += 1
+        d = self.value(q, self.n1, self.n2, best_d - 1e-15, lo)
+        if d is None:
+            self.rejected_early += 1
+        return d
+
     def exact_value(self, q: np.ndarray) -> float:
-        d = 0.0
-        if len(self.idx):
-            d = float(self.geom.sup_to_pair(
-                self.geom.normal[0][self.idx], self.geom.normal[1][self.idx], q)[0])
-        return max(d, self.lattice_sup(q)) / self.r
+        """The window value at q over every point of the window."""
+        return self.value(q, self.geom.normal[0][self.idx], self.geom.normal[1][self.idx])
 
 
 def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
@@ -309,16 +299,17 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     """Minimize the relative distance to the translated pair over a 4d box.
 
     The translate is confined to the coordinate box |q - x|_inf <= r/4
-    (inside D(x, r/2)).  The schedule is fixed: a 3^4 coarse grid with
-    lexicographic tie-break, then at most 24 rounds of coordinate descent,
-    halving the step after a round that improves by less than ``tol``; the
+    (inside D(x, r/2)).  The schedule is fixed: a 3^4 coarse grid whose
+    candidates are visited in stable ascending order of their set-side
+    lower bound, then at most 24 rounds of coordinate descent, halving the
+    step after a round that improves by less than ``tol``; a candidate
+    replaces the incumbent only when it is lower by more than 1e-15.  The
     pair lattice has 48 points per window diameter.  Very large windows
     are subsampled for the search itself, but the returned distance is
     the exact full-window value at the returned translate.  Lattice
     distances come from one kd-tree over the whole sample.
     """
-    x = np.asarray(x, dtype=float)
-    ctx = _PairGeometry(e, *planes).window_ctx(x, r, 2.0 * r / _PLANE_POINTS)
+    ctx = _WindowCtx(_PairGeometry(e, *planes), x, r)
     return _search_translate(ctx, tol)
 
 
@@ -407,7 +398,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         # |q_{n+1} - q_n|_inf <= s_n / 4 moves each in-plane projection by
         # at most s_n / 2, so D(q_{n+1}, 2 s_{n+1}) lies inside D(q_n, 2 s_n)
         # and each window is cut from its parent's wide point set
-        ctx = geom.window_ctx(q, s, 2.0 * s / _PLANE_POINTS, within)
+        ctx = _WindowCtx(geom, q, s, within)
         carried = ctx.exact_value(q)
         best_q, best_d = _search_translate(ctx, tol)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
@@ -419,10 +410,8 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
             r_k = s
             shrink = 2.0 * s * (1.0 - 12.0 * eps)
             if shrink > 0:
-                wctx = geom.window_ctx(o_k, shrink, 2.0 * shrink / _PLANE_POINTS)
-                dist_shrunken = wctx.exact_value(o_k)
-            wctx = geom.window_ctx(o_k, 2.0 * s, 4.0 * s / _PLANE_POINTS)
-            dist_double = wctx.exact_value(o_k)
+                dist_shrunken = _WindowCtx(geom, o_k, shrink).exact_value(o_k)
+            dist_double = _WindowCtx(geom, o_k, 2.0 * s).exact_value(o_k)
             break
         q = best_q
         centers.append(q.copy())

@@ -116,7 +116,7 @@ def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
     the process's 1e-4 * eps.  Returns None when the floor is reached
     first.
     """
-    from planes4.scanner import _PLANE_POINTS, _PairGeometry, _search_translate
+    from planes4.scanner import _PairGeometry, _search_translate, _WindowCtx
 
     if tol is None:
         tol = 1e-4 * eps
@@ -127,7 +127,7 @@ def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
         s = 2.0 ** (-n)
         if s < floor:
             return None
-        ctx = geom.window_ctx(origin, s, 2.0 * s / _PLANE_POINTS)
+        ctx = _WindowCtx(geom, origin, s)
         _, d = _search_translate(ctx, tol)
         if d > eps + 2.0 * e.resolution / s:
             return s
@@ -201,20 +201,18 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
                             tol: float = 1e-6):
     """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
 
-    Every candidate gets its full set-side sup and a full lattice query;
-    the window masks run over the whole sample and the whole-sample
-    kd-tree is built up front.  Only the pair kernels ``sup_to_pair`` and
-    ``pair_lattice`` are shared with the production search.  ``carried``
-    is the exact window value at q = x.
+    Every candidate gets its full set-side sup and a full lattice query
+    against the whole-sample kd-tree ``geom.tree``, and the window masks
+    run over the whole sample.  Only the pair kernels ``sup_to_pair`` and
+    ``pair_lattice`` and that tree (checked against brute force in
+    ``test_lattice_nearest_matches_brute_force``) are shared with the
+    production search.  ``carried`` is the exact window value at q = x.
     """
-    from scipy.spatial import cKDTree
-
     from planes4.scanner import (_GRID_N, _MAX_ROUNDS, _PLANE_POINTS, _SEARCH_POINT_CAP,
                                  _PairGeometry)
 
     x = np.asarray(x, dtype=float)
     geom = _PairGeometry(e, *planes)
-    tree = cKDTree(e.points)
     spacing = 2.0 * r / _PLANE_POINTS
     mask = window_mask_oracle(geom, x, r)
     idx = np.flatnonzero(mask)
@@ -225,7 +223,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
         lat = geom.pair_lattice(x, r, q, spacing)
         if not len(lat):
             return 0.0
-        return float(tree.query(lat)[0].max())
+        return float(geom.tree.query(lat)[0].max())
 
     def value(q):
         return max(float(geom.sup_to_pair(n1, n2, q)[0]), lattice_sup(q)) / r

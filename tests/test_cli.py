@@ -141,10 +141,11 @@ def test_plateau_small_run(tmp_path):
     ("0 0 0 0\n1 0 0 0\n0 1 zero 0\n0 1 2\n", 4),  # non-numeric token
     ("0 0 0 0\n1 0 0 0\n0 1 0 0\n0 1 3\n", 5),     # face index out of range
     ("0 0 0 0\n1e200 0 0 0\n0 1e200 0 0\n0 1 2\n", None),  # face area overflows
+    ("", None),                                     # empty mesh, nothing to sample
 ])
 def test_scan_malformed_mesh_is_config_error(tmp_path, capsys, body, line):
     mesh_path = tmp_path / "bad.mesh4"
-    mesh_path.write_text("MESH4 3 1\n" + body)
+    mesh_path.write_text(("MESH4 3 1\n" if body else "MESH4 0 0\n") + body)
     rc = run_command(["scan", "--mesh", str(mesh_path), "--eps", "0.01",
                       "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -168,6 +169,8 @@ def test_unknown_flag_exit_code(tmp_path, capsys):
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--resolution", "x"], "--resolution"),
     (["annulus", "--mode", "log", "--r0", "0.1", "--fd-check", "--grid-r", "-5"], "--grid-r"),
     (["bounds", "--alpha1", "nan", "--alpha2", "1"], "--alpha1"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "0.2000001,0.2000002"],
+     "--pinch-sweep"),
 ])
 def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag):
     rc = run_command(argv + ["--out", str(tmp_path / "z")])
@@ -234,6 +237,17 @@ def test_config_file_supplies_flags(tmp_path):
     header, rows = read_csv(out / "results.csv")
     assert float(dict(zip(header, rows[0]))["value"]) == pytest.approx(
         0.027287527076836824, abs=1e-9)
+
+
+def test_config_equals_form_reads_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha_steps=3\n")
+    argv = ["bounds", "--alpha1", "0.3", "--alpha2", "0.4"]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run_command(argv + ["--config", str(cfg), "--out", str(spaced)]) == 0
+    assert run_command(argv + [f"--config={cfg}", "--out", str(joined)]) == 0
+    assert len(read_csv(spaced / "results.csv")[1]) == 6     # the file's sweep ran
+    assert (joined / "results.csv").read_bytes() == (spaced / "results.csv").read_bytes()
 
 
 def test_command_line_overrides_config_file(tmp_path):

@@ -198,14 +198,13 @@ def test_search_bitwise_equals_oracle_at_drawn_centres(name, x, r):
 def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypatch):
     e = oracle_sample(name)
     made = []
-    window_ctx = sc._PairGeometry.window_ctx
 
-    def recording(geom, x, r, spacing, within=None):
-        ctx = window_ctx(geom, x, r, spacing, within)
-        made.append((geom, ctx, within is not None))
-        return ctx
+    class Recording(sc._WindowCtx):
+        def __init__(self, geom, x, r, within=None):
+            super().__init__(geom, x, r, within)
+            made.append((geom, self, within is not None))
 
-    monkeypatch.setattr(sc._PairGeometry, "window_ctx", recording)
+    monkeypatch.setattr(sc, "_WindowCtx", Recording)
     rep = sc.epsilon_process(e, PLANES, eps, floor)
     # every window after the first is cut from its parent's wide set, and
     # the cut gives the full-sample masks' indices in their order
@@ -234,7 +233,7 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
     r = 0.1
     e = hole_sample(r, with_core_point)
     geom = sc._PairGeometry(e, *PLANES)
-    ctx = geom.window_ctx(np.zeros(4), r, 2.0 * r / 48)
+    ctx = sc._WindowCtx(geom, np.zeros(4), r)
     assert len(ctx.wide) == int(with_core_point)
     for q in (np.zeros(4), np.array([0.02, -0.01, 0.0, 0.01])):
         lat = geom.pair_lattice(ctx.x, r, q, ctx.spacing)
@@ -244,8 +243,10 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
         if with_core_point:
             local = np.linalg.norm(lat - e.points[-1], axis=1)
             assert np.any(brute < local - 0.1 * r)      # the wide window alone is not enough
-        np.testing.assert_allclose(ctx.nearest(lat), brute, rtol=1e-12, atol=0)
-        assert ctx.lattice_sup(q) == pytest.approx(float(brute.max()), rel=1e-12)
+        np.testing.assert_allclose(geom.tree.query(lat)[0], brute, rtol=1e-12, atol=0)
+        # a set side of 0 leaves the lattice side of the window value
+        assert ctx.value(q, ctx.n1, ctx.n2, lo=0.0) * r == pytest.approx(
+            float(brute.max()), rel=1e-12)
 
 
 # ----------------------------------------------------------- epsilon process
