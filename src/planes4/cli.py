@@ -249,48 +249,50 @@ def _cmd_scan(args) -> dict:
 
 # --------------------------------------------------------------- plateau
 
-def _cmd_plateau(args, out: Path) -> dict:
-    pinches = (_float_list("--pinch-sweep", args.pinch_sweep) if args.pinch_sweep
-               else [args.pinch])
+def _cmd_plateau(args) -> dict:
+    pinches = sorted(_float_list("--pinch-sweep", args.pinch_sweep) if args.pinch_sweep
+                     else [args.pinch])
     keys = [f"{p:g}" for p in pinches]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"--pinch-sweep: radii {args.pinch_sweep!r} repeat a %g key "
                           "(mesh file names and record entries would collide)")
 
-    def run(p: float) -> plateau.ExperimentReport:
-        cfg = plateau.ExperimentConfig(
-            alpha1=args.alpha1, alpha2=args.alpha2,
-            boundary_segments=args.segments, pinch_radius=p,
-            max_iters=args.iters, resolution=args.resolution)
-        return plateau.run_experiment(cfg)
-
-    workers = min(thread_count(), len(pinches))
+    # every config is checked before the first descent starts
+    configs = [plateau.ExperimentConfig(
+        alpha1=args.alpha1, alpha2=args.alpha2, boundary_segments=args.segments,
+        pinch_radius=p, max_iters=args.iters, resolution=args.resolution)
+        for p in pinches]
+    workers = min(thread_count(), len(configs))
+    # one worker runs inline: a one-thread pool raised the plateau peak RSS
+    # from 58 MB to 62-68 MB, most likely from glibc's per-thread malloc arena
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, pinches))
+            reports = list(pool.map(plateau.run_experiment, configs))
     else:
-        reports = [run(p) for p in pinches]
-    reports.sort(key=lambda r: r.config.pinch_radius)
+        reports = [plateau.run_experiment(cfg) for cfg in configs]
 
     header = ["alpha1", "alpha2", "pinch", "segments", "initial_area",
               "final_area", "certificate_bound", "covers1", "covers2",
               "verdict", "steps", "tolerance"]
-    rows = []
-    for rep in reports:
-        rows.append([rep.config.alpha1, rep.config.alpha2,
-                     rep.config.pinch_radius, rep.config.boundary_segments,
-                     rep.initial_area, rep.final_area, rep.certificate_bound,
-                     rep.shadows_cover[0], rep.shadows_cover[1],
-                     rep.verdict, len(rep.area_trace) - 1, rep.tolerance])
-        if args.write_mesh:
-            tag = f"{rep.config.pinch_radius:g}".replace(".", "p")
-            write_mesh4(out / f"final_{tag}.mesh4", rep.final_mesh)
+    rows = [[rep.config.alpha1, rep.config.alpha2,
+             rep.config.pinch_radius, rep.config.boundary_segments,
+             rep.initial_area, rep.final_area, rep.certificate_bound,
+             rep.shadows_cover[0], rep.shadows_cover[1],
+             rep.verdict, len(rep.area_trace) - 1, rep.tolerance]
+            for rep in reports]
+    meshes = ({f"final_{key.replace('.', 'p')}.mesh4": rep.final_mesh
+               for key, rep in zip(keys, reports)} if args.write_mesh else {})
+
     def by_pinch(field: str) -> dict:
-        return {f"{r.config.pinch_radius:g}": getattr(r, field) for r in reports}
+        return {key: getattr(rep, field) for key, rep in zip(keys, reports)}
 
     record = {"runs": len(reports), "verdicts": by_pinch("verdict"),
               "stopped": by_pinch("stopped"), "grad_norm": by_pinch("grad_norm")}
-    return {"header": header, "rows": rows, "record": record}
+    return {"header": header, "rows": rows, "record": record, "meshes": meshes}
+
+
+_COMMANDS = {"bounds": _cmd_bounds, "wirtinger": _cmd_wirtinger,
+             "annulus": _cmd_annulus, "scan": _cmd_scan, "plateau": _cmd_plateau}
 
 
 # ------------------------------------------------------------------ main
@@ -463,15 +465,14 @@ def run_command(argv: list[str]) -> int:
                   if k not in ("out", "config") and v is not None}
         digest = _digest(config)
 
-        if args.command == "plateau":
-            result = _cmd_plateau(args, out)
-        else:                     # argparse admits only the subcommands
-            result = {"bounds": _cmd_bounds, "wirtinger": _cmd_wirtinger,
-                      "annulus": _cmd_annulus, "scan": _cmd_scan}[args.command](args)
+        result = _COMMANDS[args.command](args)   # argparse admits only these
 
         _write_csv(out, digest, result["header"], result["rows"])
         _write_record(out, digest, args.command, result["record"])
-        paths = ["results.csv", "record.txt", "manifest.txt"]
+        meshes = result.get("meshes", {})
+        for name, mesh in meshes.items():
+            write_mesh4(out / name, mesh)
+        paths = ["results.csv", "record.txt", *meshes, "manifest.txt"]
         _write_manifest(out, args.command, config, digest, started, paths)
         return 0
     except ConfigError as exc:

@@ -23,8 +23,6 @@ from . import exterior
 from .errors import ConfigError
 from .rng import SplitMix64
 
-_ORTHO_TOL = 1e-12
-
 
 class CharacteristicAngles(NamedTuple):
     alpha1: float

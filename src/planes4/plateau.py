@@ -13,8 +13,10 @@ robustness beats Newton here), radially retracting anything that leaves
 the closed unit ball.  Its schedule is fixed: the step starts at 0.01,
 and the descent stops as converged once the free-vertex gradient norm
 falls below ``TOL_GRAD`` = 1e-6; only the iteration cap varies.
-``certificate_lower_bound`` turns shadow areas into a certified area
-floor (shadow1 + shadow2) / lambda.
+``certificate_lower_bound`` reads the shadow inequality backwards:
+it takes the two shadow areas and lambda from
+``surfaces.projection_inequality_report`` and returns the area floor
+(shadow1 + shadow2) / lambda.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior
-from .bounds import projection_sums, wirtinger_bound
+from .bounds import area_lower_bound
 from .errors import ConfigError
-from .grassmann import Plane, canonical_pair, characteristic_angles
-from .surfaces import TriMesh4, area, face_tangents, shadow_area
+from .grassmann import Plane, canonical_pair
+from .surfaces import TriMesh4, projection_inequality_report
 
 
 _STEP = 0.01            # initial descent step; accepted steps grow it up to 10x
@@ -61,7 +63,6 @@ class ExperimentReport:
     config: ExperimentConfig
     initial_area: float
     final_area: float
-    reference_area: float            # 2*pi
     area_trace: np.ndarray
     certificate_bound: float
     shadows_cover: tuple[bool, bool]
@@ -247,23 +248,16 @@ def certificate_lower_bound(
 ) -> tuple[float, tuple[bool, bool]]:
     """Certified area floor (shadow1 + shadow2) / lambda plus coverage flags.
 
+    The shadows and lambda come from ``projection_inequality_report``.
     Coverage asks each shadow to reach (1 - 2/resolution) * pi, the full
-    unit disk up to rasterization slop.  lambda is the max face projection
-    sum, never above the proven 1 + 2 cos(alpha1).
+    unit disk up to rasterization slop.
     """
     if resolution < 128:
         raise ValueError(f"certificate resolution must be >= 128, got {resolution}")
-    sh1 = shadow_area(mesh, p1, resolution)
-    sh2 = shadow_area(mesh, p2, resolution)
-    covers = (sh1 >= (1.0 - 2.0 / resolution) * np.pi,
-              sh2 >= (1.0 - 2.0 / resolution) * np.pi)
-    ang = characteristic_angles(p1, p2)
-    lam = wirtinger_bound(ang.alpha1)
-    if len(mesh.faces):
-        w = face_tangents(mesh, drop_degenerate=True)
-        if len(w):
-            lam = min(lam, float(np.max(projection_sums(p1, p2, w))))
-    return (sh1 + sh2) / lam, covers
+    rep = projection_inequality_report(mesh, p1, p2, resolution)
+    sh1, sh2 = rep.shadow_areas
+    full = (1.0 - 2.0 / resolution) * np.pi
+    return (sh1 + sh2) / rep.lambda_used, (sh1 >= full, sh2 >= full)
 
 
 def mesh_area_tolerance(n: int) -> float:
@@ -276,7 +270,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     p1, p2 = canonical_pair(cfg.alpha1, cfg.alpha2)
     n = cfg.boundary_segments
     mesh = build_pinched_competitor(cfg.alpha1, cfg.alpha2, cfg.pinch_radius, n)
-    initial = area(mesh)
     result = minimize_area(mesh, cfg.max_iters)
     final = float(result.trace[-1])
 
@@ -284,22 +277,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     tol = 4.0 / cfg.resolution + 2.0 * mesh_tol
     bound, covers = certificate_lower_bound(result.mesh, p1, p2, cfg.resolution)
 
-    eps_alpha = 2.0 * np.cos(cfg.alpha1)
-    reference = 2.0 * np.pi
     if (covers[0] and covers[1]
             and final >= bound - tol
-            and bound >= reference / (1.0 + eps_alpha) - tol):
+            and bound >= area_lower_bound(2.0 * np.cos(cfg.alpha1)) - tol):
         verdict = "certified-optimal"
-    elif final < reference - 2.0 * mesh_tol:
+    elif final < 2.0 * np.pi - 2.0 * mesh_tol:
         verdict = "improved"
     else:
         verdict = "no-improvement-found"
 
     return ExperimentReport(
         config=cfg,
-        initial_area=initial,
+        initial_area=float(result.trace[0]),
         final_area=final,
-        reference_area=reference,
         area_trace=result.trace,
         certificate_bound=bound,
         shadows_cover=covers,

@@ -7,7 +7,9 @@ integrates |wedge_2 p (tangent)| over faces, while ``shadow_area``
 rasterizes the projected triangles and counts covered cells once, so it
 measures the image set (multiplicity collapsed).  The rasterization error
 is O(perimeter / resolution) and always reported conservatively by
-callers.
+callers.  ``projection_inequality_report`` is the one place that computes
+the parts of the shadow inequality shadow1 + shadow2 <= lambda * area (the
+two shadows and lambda); the Plateau certificate reads them from it.
 
 File format MESH4 (text): line 1 ``MESH4 <nv> <nf>``, then nv vertex lines
 of 4 reals, nf face lines of 3 zero-based indices, then optional lines
@@ -100,21 +102,17 @@ def area(mesh: TriMesh4) -> float:
     return float(np.sum(face_areas(mesh)))
 
 
-def face_tangents(mesh: TriMesh4, drop_degenerate: bool = False) -> np.ndarray:
-    """Unit simple tangent 2-vector per face.
+def face_tangents(mesh: TriMesh4) -> np.ndarray:
+    """Unit simple tangent 2-vector per face of nonzero area.
 
-    A degenerate face raises, unless ``drop_degenerate`` is set: then faces
-    whose wedge norm is at most 1e-13 are left out, since a zero-area face
-    carries no measure (optimized meshes are not revalidated).
+    Faces whose wedge norm is at most 1e-13 are left out: a zero-area face
+    carries no measure and has no tangent plane.  ``TriMesh4.validate``
+    rejects such faces, but optimized meshes are not revalidated.
     """
     w = _edge_wedges(mesh)
     n = exterior.norm(w)
-    if drop_degenerate:
-        keep = n > 1e-13
-        return w[keep] / n[keep, None]
-    if len(n) and n.min() < 2.0 * _DEGENERATE_AREA:
-        raise ValueError("mesh contains a degenerate face")
-    return w / n[:, None]
+    keep = n > 1e-13
+    return w[keep] / n[keep, None]
 
 
 def projected_area_with_multiplicity(mesh: TriMesh4, plane: Plane) -> float:
@@ -207,22 +205,22 @@ class ProjectionReport:
 def projection_inequality_report(
     mesh: TriMesh4, p1: Plane, p2: Plane, resolution: int = 256
 ) -> ProjectionReport:
-    """Check the shadow inequality shadow1 + shadow2 <= lambda * area.
+    """Parts of the shadow inequality shadow1 + shadow2 <= lambda * area.
 
-    lambda is the max face projection sum, clamped from above by the
-    proven 1 + 2 cos(alpha1) bound; the slack should only go negative by
-    the rasterization tolerance.
+    lambda is the largest projection sum over the faces of nonzero area,
+    never above the proven 1 + 2 cos(alpha1), which it equals on a mesh
+    without such faces.  The slack lambda * area - (shadow1 + shadow2) goes
+    negative only by the rasterization error; read backwards, the
+    inequality is the Plateau certificate area >= (shadow1 + shadow2) / lambda.
     """
     total = area(mesh)
     pm = (projected_area_with_multiplicity(mesh, p1),
           projected_area_with_multiplicity(mesh, p2))
     sh = (shadow_area(mesh, p1, resolution), shadow_area(mesh, p2, resolution))
-    if len(mesh.faces):
-        lam = float(np.max(projection_sums(p1, p2, face_tangents(mesh))))
-    else:
-        lam = 0.0
-    ang = characteristic_angles(p1, p2)
-    lam = min(lam, wirtinger_bound(ang.alpha1) + 1e-9)
+    lam = wirtinger_bound(characteristic_angles(p1, p2).alpha1)
+    w = face_tangents(mesh)
+    if len(w):
+        lam = min(lam, float(np.max(projection_sums(p1, p2, w))))
     return ProjectionReport(
         area=total,
         proj_area_mult=pm,

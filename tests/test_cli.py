@@ -136,6 +136,20 @@ def test_plateau_small_run(tmp_path):
     assert gnorm[0] == "0.2" and float(gnorm[1]) > 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["plateau", "--alpha1", "1.5", "--alpha2", "1.5", "--pinch", "0.2",
+     "--segments", "32", "--iters", "1", "--write-mesh"],
+    ["bounds", "--alpha1", "1.0", "--alpha2", "1.2"],
+], ids=["plateau", "bounds"])
+def test_manifest_lists_every_output_file(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run_command(argv + ["--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    outputs = next(line.split()[1:] for line in lines if line.startswith("outputs "))
+    # every file written is listed, and every listed file was written
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir())
+
+
 @pytest.mark.parametrize("body, line", [
     ("0 0 0 0\n1 0 0\n0 1 0 0\n0 1 2\n", 3),       # short vertex line
     ("0 0 0 0\n1 0 0 0\n0 1 zero 0\n0 1 2\n", 4),  # non-numeric token
@@ -183,6 +197,7 @@ OUT_OF_RANGE = [
     (["plateau", "--alpha1", "2", "--alpha2", "2"], "(2.0, 2.0)"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--segments", "10"], "got 10"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.7"], "got 0.7"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "0.2,0.7"], "got 0.7"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.01"], "radius 0.01"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--resolution", "10"], "got 10"),
     (["annulus", "--mode", "exact", "--r0", "1.5"], "got 1.5"),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,25 @@ def test_pinched_topology_is_a_tube_join():
 def test_pinched_rejects_degenerate_connector():
     with pytest.raises(ValueError):
         pl.build_pinched_competitor(*ORTH, 0.01, 64)    # pinch below 4/n
+
+
+# the leading 16 hex digits of the sha256 of faces (little-endian int64) and
+# of fixed (one byte per flag); integer and bool bytes are the same on every
+# machine, unlike the float vertex bytes, and the angles do not enter them
+@pytest.mark.parametrize("n, pinch, faces_sha, fixed_sha", [
+    (32, 0.0, "6a31d9351ab9e737", "931f38af772ca6a0"),
+    (64, 0.0, "a766aca4a6f9bd32", "f14ac99aa7ed72cf"),
+    (64, 0.2, "b37e9a1da9e9cf19", "6d35672f4bbbff64"),
+    (96, 0.1, "34683a88e68c3c4c", "abaa969dab85af5d"),
+    (256, 0.05, "e7c7d241fbd50e9c", "04181ddcc6726ee7"),
+])
+def test_builder_faces_and_fixed_bytes_are_pinned(n, pinch, faces_sha, fixed_sha):
+    if pinch == 0.0:
+        m = pl.build_union_mesh(0.5, 0.7, n)
+    else:
+        m = pl.build_pinched_competitor(0.5, 0.7, pinch, n)
+    assert hashlib.sha256(m.faces.astype("<i8").tobytes()).hexdigest()[:16] == faces_sha
+    assert hashlib.sha256(m.fixed.astype(np.uint8).tobytes()).hexdigest()[:16] == fixed_sha
 
 
 # -------------------------------------------------------------- optimizer

@@ -152,6 +152,12 @@ def oracle_sample(name):
         return sc.sample_mesh(build_pinched_competitor(np.pi / 2, np.pi / 2, 0.2, 64), 0.06)
     if name == "hole":
         return hole_sample(0.1, with_core_point=True)
+    if name == "dense_outlier":
+        # more than _SEARCH_POINT_CAP points in D(x, 0.5), and one point far
+        # off both planes placed second to last: see the test using it
+        pts = sc.plane_pair_sample(spacing=3e-3, extent=0.5).points
+        outlier = np.full((1, 4), 0.2)
+        return sc.SetSample(np.vstack([pts[:-1], outlier, pts[-1:]]), 3e-3)
     raise KeyError(name)
 
 
@@ -182,6 +188,22 @@ def assert_search_matches_oracle(name, x, r):
 def test_search_bitwise_equals_exhaustive_oracle(name, r):
     assert_search_matches_oracle(name, np.zeros(4), r)
     assert_search_matches_oracle(name, np.array([0.03, -0.02, 0.01, 0.04]), r)
+
+
+def test_exact_value_covers_points_outside_the_search_subsample():
+    # the set side's maximiser (the outlier) is left out of the search
+    # subsample and lies in the last set-side block of the full window, so
+    # only an exact value over every block of the whole window reaches it
+    e = oracle_sample("dense_outlier")
+    outlier = len(e.points) - 2
+    geom = sc._PairGeometry(e, *PLANES)
+    for x in (np.zeros(4), np.array([0.03, -0.02, 0.01, 0.04])):
+        ctx = sc._WindowCtx(geom, x, 0.5)
+        stride = int(np.ceil(len(ctx.idx) / sc._SEARCH_POINT_CAP))
+        pos = int(np.searchsorted(ctx.idx, outlier))
+        assert ctx.idx[pos] == outlier and stride >= 2 and pos % stride
+        assert pos >= (len(ctx.idx) - 1) // sc._SET_CHUNK * sc._SET_CHUNK
+        assert_search_matches_oracle("dense_outlier", x, 0.5)
 
 
 @settings(max_examples=10, deadline=None)

@@ -308,10 +308,28 @@ def test_projection_report_graph_mesh_nonnegative_slack():
     assert rep.inequality_slack >= -8.0 / 256
 
 
+def _unvalidated(verts, faces, fixed):
+    # built the way minimize_area builds its output mesh: no validation
+    m = sf.TriMesh4.__new__(sf.TriMesh4)
+    m.vertices, m.faces, m.fixed = verts, faces, fixed
+    return m
+
+
 def test_projection_report_single_flat_disk():
     m = fan_disk(64, gr.P01)
     rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
     assert rep.inequality_slack >= -1e-6
+    # a zero-area face carries no measure and has no tangent plane
+    degenerate = _unvalidated(m.vertices, np.vstack([m.faces, [[1, 1, 2]]]), m.fixed)
+    assert np.array_equal(sf.face_tangents(degenerate), sf.face_tangents(m))
+    lam = rep.lambda_used
+    rep = sf.projection_inequality_report(degenerate, gr.P01, gr.P02, 256)
+    assert rep.lambda_used == lam and rep.inequality_slack >= -1e-6
+    # with no face to project, lambda is the proven bound 1 + 2 cos(alpha1)
+    empty = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
+    rep = sf.projection_inequality_report(empty, gr.P01, gr.P02, 256)
+    assert rep.lambda_used == 1.0 + 2.0 * np.cos(np.pi / 2)
+    assert rep.inequality_slack == 0.0
 
 
 # ------------------------------------------------------------- graph area
