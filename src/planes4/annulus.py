@@ -125,16 +125,10 @@ def reflection_lower_bound(data: FourierBoundary | np.ndarray, spec: AnnulusSpec
     condition holds.
     """
     fb = _as_fourier(data)
-    d = np.hypot(*spec.center)
-    if spec.center == (0.0, 0.0):
-        if not spec.r0 < 0.5 * spec.outer:
-            raise ConfigError(f"centered bound needs r0 < outer/2, got r0={spec.r0}")
-    else:
-        if not spec.r0 < 0.5 * (spec.outer - d):
-            raise ConfigError(
-                f"off-center bound needs r0 < dist(center, outer circle)/2, "
-                f"got r0={spec.r0}, dist={spec.outer - d}"
-            )
+    dist = spec.outer - np.hypot(*spec.center)       # outer/2 at the centre
+    if not spec.r0 < 0.5 * dist:
+        raise ConfigError(f"reflection bound needs r0 < dist(center, outer circle)/2, "
+                          f"got r0={spec.r0}, dist={dist}")
     return float(0.25 * np.pi * np.sum(fb.a**2 + fb.b**2))
 
 

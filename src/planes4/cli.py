@@ -172,22 +172,15 @@ def _cmd_annulus(args) -> dict:
     header = ["mode", "r0", "delta", "eps", "value", "constant",
               "fd_value", "fd_rel_err"]
     r0 = args.r0
-    rows = []
+    fd = None                     # (inner, outer, spec, reference) of the FD check
     if args.mode == "log":
         if args.eps is not None:
             value, const = annulus.log_annulus_bound(args.delta, r0, args.eps)
         else:
             value, const = annulus.log_annulus_bound(args.delta, r0), ""
-        fd_v = fd_err = ""
-        if args.fd_check:
-            spec = annulus.AnnulusSpec(r0)
-            fd_v = annulus.fd_oracle(
-                lambda t: np.full_like(t, args.delta * r0),
-                lambda t: np.zeros_like(t), spec, (args.grid_r, args.grid_t))
-            base = annulus.log_annulus_bound(args.delta, r0)
-            fd_err = abs(fd_v - base) / base if base else 0.0
-        rows.append(["log", r0, args.delta, "" if args.eps is None else args.eps,
-                     value, const, fd_v, fd_err])
+        row = ["log", r0, args.delta, "" if args.eps is None else args.eps, value, const]
+        fd = (lambda t: np.full_like(t, args.delta * r0), np.zeros_like,
+              annulus.AnnulusSpec(r0), annulus.log_annulus_bound(args.delta, r0))
     else:
         a = _coeffs("--acoef", args.acoef)
         b = _coeffs("--bcoef", args.bcoef)
@@ -197,19 +190,19 @@ def _cmd_annulus(args) -> dict:
                                      np.pad(b, (0, n - len(b))))
         if args.mode == "exact":
             value = annulus.annulus_energy_exact(fb, r0)
-            fd_v = fd_err = ""
-            if args.fd_check:
-                spec = annulus.AnnulusSpec(r0, outer=1.0 / r0)
-                vals = fb.evaluate
-                fd_v = annulus.fd_oracle(vals, vals, spec, (args.grid_r, args.grid_t))
-                fd_err = abs(fd_v - value) / value if value else 0.0
-            rows.append(["exact", r0, "", "", value, "", fd_v, fd_err])
+            row = ["exact", r0, "", "", value, ""]
+            fd = (fb.evaluate, fb.evaluate, annulus.AnnulusSpec(r0, outer=1.0 / r0), value)
         else:                     # argparse admits only the three modes
             spec = annulus.AnnulusSpec(r0, center=(args.qx, args.qy))
             value = annulus.reflection_lower_bound(fb, spec)
-            rows.append(["reflect", r0, "", "", value, "", "", ""])
-    record = {"mode": args.mode, "value": rows[0][4]}
-    return {"header": header, "rows": rows, "record": record}
+            row = ["reflect", r0, "", "", value, ""]
+    fd_v = fd_err = ""
+    if args.fd_check and fd is not None:
+        inner, outer, spec, reference = fd
+        fd_v = annulus.fd_oracle(inner, outer, spec, (args.grid_r, args.grid_t))
+        fd_err = abs(fd_v - reference) / reference if reference else 0.0
+    record = {"mode": args.mode, "value": value}
+    return {"header": header, "rows": [row + [fd_v, fd_err]], "record": record}
 
 
 # ------------------------------------------------------------------ scan

@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise ConfigError(f"pinch radius must lie in [0, 0.5), got {self.pinch_radius}")
         if self.boundary_segments < 32:
             raise ConfigError(f"need at least 32 boundary segments, got {self.boundary_segments}")
+        if 0.0 < self.pinch_radius < 4.0 / self.boundary_segments:
+            raise ConfigError(_tube_message(self.pinch_radius, self.boundary_segments))
         if self.resolution < 128:
             raise ConfigError(f"certificate resolution must be >= 128, got {self.resolution}")
 
@@ -109,6 +111,11 @@ def _strip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a, b, b1, a, b1, a1], axis=-1).reshape(-1, 3)
 
 
+def _tube_message(pinch_radius: float, n: int) -> str:
+    return (f"pinch radius {pinch_radius} too small for {n} segments: "
+            "the connector tube would be degenerate")
+
+
 def build_pinched_competitor(alpha1: float, alpha2: float,
                              pinch_radius: float, n: int) -> TriMesh4:
     """Both disks cut at the pinch radius and joined by a ruled tube.
@@ -125,10 +132,7 @@ def build_pinched_competitor(alpha1: float, alpha2: float,
     if n < 32:
         raise ValueError(f"need at least 32 boundary segments, got {n}")
     if pinch_radius < 4.0 / n:
-        raise ConfigError(
-            f"pinch radius {pinch_radius} too small for {n} segments: "
-            "the connector tube would be degenerate"
-        )
+        raise ConfigError(_tube_message(pinch_radius, n))
     p1, p2 = canonical_pair(alpha1, alpha2)
     n_r = max(4, round(n / 12))
     radii = pinch_radius ** (1.0 - np.arange(n_r + 1) / n_r)   # rho ... 1, geometric
@@ -218,7 +222,6 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
         if gnorm < TOL_GRAD:
             stopped = "converged"
             break
-        accepted = False
         s = step
         while s > 1e-12 * _STEP:
             trial = verts.copy()
@@ -230,10 +233,9 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
                 gnorm = _free_grad_norm(grad, free)
                 trace.append(current)
                 step = min(s * 1.5, 10.0 * _STEP)
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        else:
             stopped = "line-search-failure"
             break
     out = TriMesh4.__new__(TriMesh4)

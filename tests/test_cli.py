@@ -199,6 +199,8 @@ OUT_OF_RANGE = [
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.7"], "got 0.7"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "0.2,0.7"], "got 0.7"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch", "0.01"], "radius 0.01"),
+    (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "0,0.05",
+      "--segments", "32"], "radius 0.05"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--resolution", "10"], "got 10"),
     (["annulus", "--mode", "exact", "--r0", "1.5"], "got 1.5"),
     (["annulus", "--mode", "reflect", "--r0", "0.6"], "r0=0.6"),

@@ -266,8 +266,8 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
             local = np.linalg.norm(lat - e.points[-1], axis=1)
             assert np.any(brute < local - 0.1 * r)      # the wide window alone is not enough
         np.testing.assert_allclose(geom.tree.query(lat)[0], brute, rtol=1e-12, atol=0)
-        # a set side of 0 leaves the lattice side of the window value
-        assert ctx.value(q, ctx.n1, ctx.n2, lo=0.0) * r == pytest.approx(
+        # an empty set side leaves the lattice side of the window value
+        assert ctx.value(q, np.empty((0, 2)), np.empty((0, 2))) * r == pytest.approx(
             float(brute.max()), rel=1e-12)
 
 
@@ -280,6 +280,37 @@ def test_process_floor_hit_on_exact_sample():
     assert rep.o_k is None and rep.r_k is None
     assert len(rep.steps) == 4          # scales 1/2 .. 1/16
     assert [s.index for s in rep.steps] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("exit_, floor", [("floor", 0.05), ("stop", 0.02), ("zero", 0.6)])
+def test_process_report_facts_follow_from_the_steps(exit_, floor):
+    # a floor-hit scan, a scan that stops at step 3 and one whose first
+    # scale 1/2 already lies below the floor
+    e = (sc.pinched_pair_sample(0.1, 0.02, spacing=6e-3) if exit_ == "stop"
+         else small_plane_sample())
+    rep = sc.epsilon_process(e, PLANES, 0.05, floor)
+    k = len(rep.steps)
+    assert rep.stopped == (exit_ == "stop") and rep.floor_hit == (exit_ != "stop")
+    assert k == {"floor": 4, "stop": 3, "zero": 0}[exit_]
+    scales = [st.scale for st in rep.steps]
+    assert rep.scales.shape == (k,)
+    assert rep.scales.tolist() == scales == [2.0 ** -n for n in range(1, k + 1)]
+    # q_0 = q_1 = 0, step n is centred at q_n, and a scan that did not stop
+    # also keeps the translate its last step found
+    centers = rep.centers
+    assert centers.shape == (k + 1 + rep.floor_hit, 4)
+    assert not centers[:2].any()
+    for st in rep.steps:
+        assert np.array_equal(centers[st.index], st.center)
+    if rep.stopped:
+        assert np.array_equal(rep.o_k, rep.steps[-1].center) and rep.r_k == rep.steps[-1].scale
+        assert rep.dist_double is not None and rep.dist_shrunken is not None
+    else:
+        assert rep.o_k is None and rep.r_k is None
+        assert rep.dist_double is None and rep.dist_shrunken is None
+        assert 2.0 ** -(k + 1) < floor
+        if k:
+            assert np.array_equal(centers[-1], rep.steps[-1].best_q)
 
 
 def test_process_pinch_example_diameter_005():
