@@ -2,8 +2,8 @@
 
 The package is organized by subject:
 
-* ``exterior``  -- 2-vector algebra on R^4 (wedge, inner product, Pluecker test)
-* ``grassmann`` -- planes, characteristic angles, projectors, the equality set Xi
+* ``exterior``  -- 2-vector algebra on R^4 (wedge, inner product, Pluecker test, Hodge star)
+* ``grassmann`` -- planes, characteristic angles, the equality set Xi
 * ``bounds``    -- projection-sum bounds and their closed-form supremum
 * ``annulus``   -- harmonic-extension Dirichlet energies on planar annuli
 * ``surfaces``  -- triangulated surfaces in R^4, areas, shadows, graph bounds

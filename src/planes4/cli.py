@@ -111,15 +111,13 @@ def _cmd_bounds(args) -> dict:
         pairs.append((args.alpha1, args.alpha2))
 
     header = ["alpha1", "alpha2", "sup_value", "wirtinger_bound", "witness",
-              "samples", "refinement_iters",
               "c12", "c13", "c14", "c23", "c24", "c34"]
     rows = []
     for a1, a2 in sorted(pairs):
         p1, p2 = grassmann.canonical_pair(a1, a2)
         rep = bounds.sup_projection_sum(p1, p2)
         witness = 1.0 + np.cos(a1) * np.cos(a2)
-        rows.append([a1, a2, rep.sup_value, rep.bound, witness,
-                     rep.samples, rep.refinement_iters, *rep.argmax])
+        rows.append([a1, a2, rep.sup_value, rep.bound, witness, *rep.argmax])
     record = {"pairs": len(rows),
               "last": {"alpha1": rows[-1][0], "alpha2": rows[-1][1],
                        "sup_value": rows[-1][2], "wirtinger_bound": rows[-1][3]}}
@@ -250,19 +248,20 @@ def _cmd_plateau(args) -> dict:
         raise ConfigError(f"--pinch-sweep: radii {args.pinch_sweep!r} repeat a %g key "
                           "(mesh file names and record entries would collide)")
 
-    # every config is checked before the first descent starts
+    # every config and its competitor are checked before the first descent starts
     configs = [plateau.ExperimentConfig(
         alpha1=args.alpha1, alpha2=args.alpha2, boundary_segments=args.segments,
         pinch_radius=p, max_iters=args.iters, resolution=args.resolution)
         for p in pinches]
+    competitors = [plateau.build_competitor(cfg) for cfg in configs]
     workers = min(thread_count(), len(configs))
     # one worker runs inline: a one-thread pool raised the plateau peak RSS
     # from 58 MB to 62-68 MB, most likely from glibc's per-thread malloc arena
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(plateau.run_experiment, configs))
+            reports = list(pool.map(plateau.run_experiment, configs, competitors))
     else:
-        reports = [plateau.run_experiment(cfg) for cfg in configs]
+        reports = [plateau.run_experiment(cfg, mesh) for cfg, mesh in zip(configs, competitors)]
 
     header = ["alpha1", "alpha2", "pinch", "segments", "initial_area",
               "final_area", "certificate_bound", "covers1", "covers2",
@@ -293,11 +292,11 @@ _COMMANDS = {"bounds": _cmd_bounds, "wirtinger": _cmd_wirtinger,
 _COLUMN_DOCS = {
     "bounds": (
         "columns: alpha1,alpha2 angle pair (rad); sup_value supremum of "
-        "|p1 xi|+|p2 xi|, closed form max(|A1+A2|,|A1-A2|) in operator norm; "
+        "|p1 xi|+|p2 xi|, closed form max over s=+-1 of (|w+|+|w-|)/sqrt2 for the "
+        "self-dual and anti-self-dual halves w+- of w = xi1 + s xi2; "
         "wirtinger_bound proven 1+2cos(alpha1); witness 1+cos(alpha1)cos(alpha2) "
-        "scored by e1^e2; samples 2, the matrices A1+A2 and A1-A2 whose norms "
-        "are taken; refinement_iters 0, no search runs; c12,c13,c14,c23,c24,c34 "
-        "argmax 2-vector coefficients. rows sorted by (alpha1, alpha2)."
+        "scored by e1^e2; c12,c13,c14,c23,c24,c34 argmax 2-vector coefficients. "
+        "rows sorted by (alpha1, alpha2)."
     ),
     "wirtinger": (
         "columns: kind 'xi' (equality-set draw) or 'simple' (random wedge); index "

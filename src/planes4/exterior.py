@@ -5,9 +5,13 @@ ordered basis
 
     e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4
 
-(indices BASIS below).  Vectors in R^4 are plain length-4 arrays; linear
-maps are 4x4 arrays.  All functions broadcast over leading axes, so
-``wedge(X, Y)`` with X, Y of shape (n, 4) returns shape (n, 6).
+(indices BASIS below).  Vectors in R^4 are plain length-4 arrays.  All
+functions broadcast over leading axes, so ``wedge(X, Y)`` with X, Y of
+shape (n, 4) returns shape (n, 6).
+
+The Hodge star ``star`` splits a 2-vector into its self-dual and
+anti-self-dual halves (xi +/- star(xi)) / 2; a unit 2-vector is simple
+exactly when both halves have norm 1/sqrt(2).
 
 Orientation is ignored by downstream consumers: they only ever use the
 absolute value of pairings between 2-vectors.
@@ -70,31 +74,12 @@ def is_simple(xi: np.ndarray, tol: float = SIMPLE_TOL) -> bool | np.ndarray:
     return bool(out) if np.ndim(out) == 0 else out
 
 
-def compound_matrix(f: np.ndarray) -> np.ndarray:
-    """6x6 matrix of the induced map on 2-vectors (second compound of f).
-
-    Column (i, j) holds the coefficients of f(e_i) ^ f(e_j), so the
-    compound applied to wedge(x, y) equals wedge(f x, f y).
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {f.shape}")
-    m = np.empty((6, 6))
-    for col, (i, j) in enumerate(BASIS):
-        m[:, col] = wedge(f[:, i], f[:, j])
-    return m
+#: the Hodge star as a signed permutation of the coefficients:
+#: *e12 = e34, *e13 = -e24, *e14 = e23, and the star is an involution
+_STAR_INDEX = [5, 4, 3, 2, 1, 0]
+_STAR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-def apply_map2(f: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Apply the induced map of a 4x4 linear map to a 2-vector."""
-    return np.asarray(xi, dtype=float) @ compound_matrix(f).T
-
-
-def antisymmetric_matrix(xi: np.ndarray) -> np.ndarray:
-    """4x4 antisymmetric matrix A with x^T A y = <xi, wedge(x, y)>."""
-    xi = np.asarray(xi, dtype=float)
-    a = np.zeros((4, 4))
-    for k, (i, j) in enumerate(BASIS):
-        a[i, j] = xi[k]
-        a[j, i] = -xi[k]
-    return a
+def star(xi: np.ndarray) -> np.ndarray:
+    """Hodge star on 2-vectors: xi ^ zeta = <star(xi), zeta> e1^e2^e3^e4."""
+    return np.asarray(xi, dtype=float)[..., _STAR_INDEX] * _STAR_SIGN

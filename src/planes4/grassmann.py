@@ -49,23 +49,8 @@ class Plane:
     def contains(self, v: np.ndarray, tol: float = 1e-10) -> bool:
         """True when v lies in the plane (its projection is itself)."""
         v = np.asarray(v, dtype=float)
-        p = projector(self)
-        return float(np.linalg.norm(p @ v - v)) <= tol * max(1.0, float(np.linalg.norm(v)))
-
-
-def plane_from_vectors(x: np.ndarray, y: np.ndarray) -> Plane:
-    """Plane spanned by two independent vectors (Gram-Schmidt orthonormalized)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = np.linalg.norm(x)
-    if nx < 1e-14:
-        raise ValueError("first spanning vector is zero")
-    b1 = x / nx
-    y2 = y - np.dot(y, b1) * b1
-    ny = np.linalg.norm(y2)
-    if ny < 1e-14:
-        raise ValueError("spanning vectors are parallel")
-    return Plane(np.stack([b1, y2 / ny]))
+        residual = self.basis.T @ (self.basis @ v) - v
+        return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(v)))
 
 
 #: the standard orthogonal pair: P01 = span(e1, e2), P02 = span(e3, e4)
@@ -102,16 +87,6 @@ def canonical_pair(alpha1: float, alpha2: float) -> tuple[Plane, Plane]:
         [0.0, np.cos(alpha2), 0.0, np.sin(alpha2)],
     ]))
     return P01, p2
-
-
-def projector(p: Plane) -> np.ndarray:
-    """Orthogonal 4x4 projector onto the plane: b1 b1^T + b2 b2^T."""
-    return p.basis.T @ p.basis
-
-
-def planes_equal(p: Plane, q: Plane, tol: float = 1e-10) -> bool:
-    """Plane equality up to orientation: |<xi_p, xi_q>| >= 1 - tol."""
-    return abs(exterior.inner(p.bivector, q.bivector)) >= 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -169,6 +144,11 @@ def random_xi_element(rng: SplitMix64) -> XiElement:
     return XiElement(alpha, v1, v2, u1, u2)
 
 
+#: smallest membership tolerance: the unit and simplicity checks carry
+#: a few ulps of round-off
+MIN_TOL = 1e-14
+
+
 def projection_sum_standard(xi: np.ndarray) -> float | np.ndarray:
     """|p01(xi)| + |p02(xi)| for the standard orthogonal pair: |c12| + |c34|."""
     xi = np.asarray(xi, dtype=float)
@@ -180,14 +160,16 @@ def xi_membership(xi: np.ndarray, tol: float = 1e-8) -> bool:
     """Equality-set membership: projection sum onto the standard pair >= 1 - tol.
 
     The input must be a unit simple 2-vector within tol; anything else is
-    rejected rather than silently classified.
+    rejected rather than silently classified.  A tolerance below ``MIN_TOL``
+    is a configuration error: a unit wedge's norm is off 1 by a few ulps,
+    so such a tolerance would reject every input.
     """
-    if not tol > 0:
-        raise ConfigError(f"membership tolerance must be positive, got {tol}")
+    if not tol >= MIN_TOL:
+        raise ConfigError(f"membership tolerance must be at least {MIN_TOL:g}, got {tol}")
     xi = np.asarray(xi, dtype=float)
     n = exterior.norm(xi)
     if abs(n - 1.0) > tol:
         raise ValueError(f"2-vector is not unit within {tol}: norm {n}")
-    if not exterior.is_simple(xi, max(tol, 1e-14)):
+    if not exterior.is_simple(xi, tol):
         raise ValueError("2-vector is not simple within tolerance")
     return bool(projection_sum_standard(xi) >= 1.0 - tol)

@@ -153,6 +153,21 @@ def build_pinched_competitor(alpha1: float, alpha2: float,
     return TriMesh4(verts, faces, fixed)
 
 
+def build_competitor(cfg: ExperimentConfig) -> TriMesh4:
+    """The competitor of cfg; a degenerate face is a ``ConfigError``.
+
+    At angles near 0 the tube joins two almost equal circles, so its faces
+    can fall below the area that ``TriMesh4.validate`` accepts.
+    """
+    try:
+        return build_pinched_competitor(cfg.alpha1, cfg.alpha2, cfg.pinch_radius,
+                                        cfg.boundary_segments)
+    except ValueError as exc:
+        raise ConfigError(
+            f"angles ({cfg.alpha1}, {cfg.alpha2}) with pinch {cfg.pinch_radius} and "
+            f"{cfg.boundary_segments} segments give a degenerate competitor: {exc}") from exc
+
+
 def _wedge_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rows A x for the antisymmetric matrices A of the 2-vectors w.
 
@@ -267,11 +282,10 @@ def mesh_area_tolerance(n: int) -> float:
     return float(2.0 * np.pi - n * np.sin(2.0 * np.pi / n))
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Build the competitor, minimize, certify, and attach a verdict."""
+def run_experiment(cfg: ExperimentConfig, mesh: TriMesh4) -> ExperimentReport:
+    """Minimize the competitor ``mesh = build_competitor(cfg)``, certify, and attach a verdict."""
     p1, p2 = canonical_pair(cfg.alpha1, cfg.alpha2)
     n = cfg.boundary_segments
-    mesh = build_pinched_competitor(cfg.alpha1, cfg.alpha2, cfg.pinch_radius, n)
     result = minimize_area(mesh, cfg.max_iters)
     final = float(result.trace[-1])
 

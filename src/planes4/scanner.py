@@ -112,35 +112,6 @@ def _in_bicylinder(a: np.ndarray, c: np.ndarray, planes: tuple[Plane, Plane],
     return m
 
 
-def bicylinder_clip(sample: SetSample, p1: Plane, p2: Plane,
-                    x: np.ndarray, r: float) -> np.ndarray:
-    """Points of the sample inside the closed bi-cylinder D(x, r)."""
-    if r <= 0:
-        raise ValueError(f"clip radius must be positive, got {r}")
-    pts = sample.points
-    return pts[_in_bicylinder(pts @ p1.basis.T, pts @ p2.basis.T, (p1, p2),
-                              np.asarray(x, dtype=float), r)]
-
-
-def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,
-                      x: np.ndarray, r: float) -> float:
-    """Two-sided relative distance over D(x, r), sups taken against full sets.
-
-    Both clips empty gives 0; a single empty clip leaves the one-sided sup.
-    """
-    ec = bicylinder_clip(e, p1, p2, x, r)
-    fc = bicylinder_clip(f, p1, p2, x, r)
-    if not len(ec) and not len(fc):
-        return 0.0
-    from scipy.spatial import cKDTree
-    d = 0.0
-    if len(ec):
-        d = max(d, float(cKDTree(f.points).query(ec)[0].max()))
-    if len(fc):
-        d = max(d, float(cKDTree(e.points).query(fc)[0].max()))
-    return d / r
-
-
 def _complement_basis(plane: Plane) -> np.ndarray:
     """Orthonormal basis (2, 4) of the plane's orthogonal complement."""
     full = np.vstack([plane.basis, np.eye(4)])

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import exterior
 from .errors import ConfigError
-from .grassmann import Plane, characteristic_angles
-from .bounds import projection_sums, wirtinger_bound
+from .grassmann import Plane
+from .bounds import projection_sums, sup_projection_sum
 
 _DEGENERATE_AREA = 1e-14
 
@@ -207,20 +207,22 @@ def projection_inequality_report(
 ) -> ProjectionReport:
     """Parts of the shadow inequality shadow1 + shadow2 <= lambda * area.
 
-    lambda is the largest projection sum over the faces of nonzero area,
-    never above the proven 1 + 2 cos(alpha1), which it equals on a mesh
-    without such faces.  The slack lambda * area - (shadow1 + shadow2) goes
-    negative only by the rasterization error; read backwards, the
-    inequality is the Plateau certificate area >= (shadow1 + shadow2) / lambda.
+    lambda is the largest projection sum over the faces of nonzero area;
+    on a mesh without such faces it is the pair's sharp supremum
+    ``sup_projection_sum(p1, p2).sup_value``, which bounds every face sum.
+    The slack lambda * area - (shadow1 + shadow2) goes negative only by the
+    rasterization error; read backwards, the inequality is the Plateau
+    certificate area >= (shadow1 + shadow2) / lambda.
     """
     total = area(mesh)
     pm = (projected_area_with_multiplicity(mesh, p1),
           projected_area_with_multiplicity(mesh, p2))
     sh = (shadow_area(mesh, p1, resolution), shadow_area(mesh, p2, resolution))
-    lam = wirtinger_bound(characteristic_angles(p1, p2).alpha1)
     w = face_tangents(mesh)
     if len(w):
-        lam = min(lam, float(np.max(projection_sums(p1, p2, w))))
+        lam = float(np.max(projection_sums(p1, p2, w)))
+    else:
+        lam = sup_projection_sum(p1, p2).sup_value
     return ProjectionReport(
         area=total,
         proj_area_mult=pm,

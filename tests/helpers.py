@@ -11,7 +11,14 @@ vectorised production kernels must reproduce bit for bit, and the
 translate-search oracle is the exhaustive search that the early-rejecting
 scanner search must reproduce bit for bit.  The projection-sum grid oracle
 maximizes over a sphere grid of first vectors, exactly in each fiber, and
-never forms the matrix norms of the closed-form supremum.
+never forms the self-dual split of the closed-form supremum; the SVD oracle
+takes the same supremum as the larger operator norm of A1 +/- A2.
+
+The rest are reference implementations that production code no longer
+needs: the induced map of a 4x4 linear map on 2-vectors and the
+projection sum it gives, plane constructors and equality, the angle
+threshold, and the bi-cylinder clip with the two-sided relative distance
+between point samples.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from planes4 import exterior
 from planes4.grassmann import Plane
-from planes4.scanner import SetSample
+from planes4.scanner import SetSample, _in_bicylinder
 from planes4.surfaces import TriMesh4
 
 
@@ -309,11 +316,11 @@ def sup_grid_oracle(p1: Plane, p2: Plane, n: int = 96) -> float:
 
     Grids the first member of the orthonormal pair at n points per sphere
     angle and takes the exact in-fiber maximum over the second member; it
-    shares nothing with the singular value decomposition that
-    ``sup_projection_sum`` takes.
+    shares nothing with the self-dual split that ``sup_projection_sum``
+    takes, nor with the singular value decomposition of ``sup_svd_oracle``.
     """
-    a1m = exterior.antisymmetric_matrix(p1.bivector)
-    a2m = exterior.antisymmetric_matrix(p2.bivector)
+    a1m = antisymmetric_matrix(p1.bivector)
+    a2m = antisymmetric_matrix(p2.bivector)
     best = 0.0
     xs = _sphere3_grid(n)
     chunk = 262144
@@ -321,3 +328,131 @@ def sup_grid_oracle(p1: Plane, p2: Plane, n: int = 96) -> float:
         vals, _ = _fiber_max(a1m, a2m, xs[s:s + chunk])
         best = max(best, float(vals.max()))
     return best
+
+
+# ------------------------------------------- induced maps and 2-vector sums
+
+def compound_matrix(f: np.ndarray) -> np.ndarray:
+    """6x6 matrix of the induced map on 2-vectors (second compound of f).
+
+    Column (i, j) holds the coefficients of f(e_i) ^ f(e_j), so the
+    compound applied to wedge(x, y) equals wedge(f x, f y).
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {f.shape}")
+    m = np.empty((6, 6))
+    for col, (i, j) in enumerate(exterior.BASIS):
+        m[:, col] = exterior.wedge(f[:, i], f[:, j])
+    return m
+
+
+def apply_map2(f: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Apply the induced map of a 4x4 linear map to a 2-vector."""
+    return np.asarray(xi, dtype=float) @ compound_matrix(f).T
+
+
+def antisymmetric_matrix(xi: np.ndarray) -> np.ndarray:
+    """4x4 antisymmetric matrix A with x^T A y = <xi, wedge(x, y)>."""
+    xi = np.asarray(xi, dtype=float)
+    a = np.zeros((4, 4))
+    for k, (i, j) in enumerate(exterior.BASIS):
+        a[i, j] = xi[k]
+        a[j, i] = -xi[k]
+    return a
+
+
+def projector(p: Plane) -> np.ndarray:
+    """Orthogonal 4x4 projector onto the plane: b1 b1^T + b2 b2^T."""
+    return p.basis.T @ p.basis
+
+
+def projection_sum(p1: Plane, p2: Plane, xi: np.ndarray, tol: float = 1e-9) -> float:
+    """|p1(xi)| + |p2(xi)| for a unit simple 2-vector xi."""
+    xi = np.asarray(xi, dtype=float)
+    if abs(exterior.norm(xi) - 1.0) > tol:
+        raise ValueError(f"2-vector is not unit within {tol}")
+    if not exterior.is_simple(xi, max(tol, 1e-14)):
+        raise ValueError("2-vector is not simple within tolerance")
+    a = exterior.norm(apply_map2(projector(p1), xi))
+    b = exterior.norm(apply_map2(projector(p2), xi))
+    return float(a + b)
+
+
+def sup_svd_oracle(p1: Plane, p2: Plane) -> tuple[float, np.ndarray]:
+    """Supremum max(||A1 + A2||_2, ||A1 - A2||_2) of the projection sum, and its argmax.
+
+    Ai is the antisymmetric matrix of Pi, so xi = x ^ y with x, y orthonormal
+    gives |p1 xi| + |p2 xi| = |x.A1 y| + |x.A2 y| = max_{s=+-1} |x.(A1 + s A2) y|,
+    which is at most ||A1 + s A2||_2.  A top singular pair (u, v) of an
+    antisymmetric M is orthonormal (sigma u.v = -u.M u = 0), so u ^ v attains
+    it: the comass of xi1 +/- xi2 (Federer, GMT 1.8; Harvey-Lawson 1982).
+    Ties keep A1 + A2; argmax is the normalized u ^ v of the larger matrix.
+    """
+    a1m = antisymmetric_matrix(p1.bivector)
+    a2m = antisymmetric_matrix(p2.bivector)
+    u, s, vh = np.linalg.svd(np.stack([a1m + a2m, a1m - a2m]))
+    k = 0 if s[0, 0] >= s[1, 0] else 1
+    argmax = exterior.wedge(u[k, :, 0], vh[k, 0])
+    argmax /= exterior.norm(argmax)
+    return float(s[k, 0]), argmax
+
+
+def angle_threshold(eps: float) -> float:
+    """Angle arccos(eps/2); pairs with alpha1 at least this have bound <= 1 + eps."""
+    if not (0.0 < eps <= 2.0):
+        raise ValueError(f"eps must lie in (0, 2], got {eps}")
+    return float(np.arccos(eps / 2.0))
+
+
+# ------------------------------------------------------ plane constructors
+
+def plane_from_vectors(x: np.ndarray, y: np.ndarray) -> Plane:
+    """Plane spanned by two independent vectors (Gram-Schmidt orthonormalized)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nx = np.linalg.norm(x)
+    if nx < 1e-14:
+        raise ValueError("first spanning vector is zero")
+    b1 = x / nx
+    y2 = y - np.dot(y, b1) * b1
+    ny = np.linalg.norm(y2)
+    if ny < 1e-14:
+        raise ValueError("spanning vectors are parallel")
+    return Plane(np.stack([b1, y2 / ny]))
+
+
+def planes_equal(p: Plane, q: Plane, tol: float = 1e-10) -> bool:
+    """Plane equality up to orientation: |<xi_p, xi_q>| >= 1 - tol."""
+    return abs(exterior.inner(p.bivector, q.bivector)) >= 1.0 - tol
+
+
+# ----------------------------------------------- windows of point samples
+
+def bicylinder_clip(sample: SetSample, p1: Plane, p2: Plane,
+                    x: np.ndarray, r: float) -> np.ndarray:
+    """Points of the sample inside the closed bi-cylinder D(x, r)."""
+    if r <= 0:
+        raise ValueError(f"clip radius must be positive, got {r}")
+    pts = sample.points
+    return pts[_in_bicylinder(pts @ p1.basis.T, pts @ p2.basis.T, (p1, p2),
+                              np.asarray(x, dtype=float), r)]
+
+
+def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,
+                      x: np.ndarray, r: float) -> float:
+    """Two-sided relative distance over D(x, r), sups taken against full sets.
+
+    Both clips empty gives 0; a single empty clip leaves the one-sided sup.
+    """
+    ec = bicylinder_clip(e, p1, p2, x, r)
+    fc = bicylinder_clip(f, p1, p2, x, r)
+    if not len(ec) and not len(fc):
+        return 0.0
+    from scipy.spatial import cKDTree
+    d = 0.0
+    if len(ec):
+        d = max(d, float(cKDTree(f.points).query(ec)[0].max()))
+    if len(fc):
+        d = max(d, float(cKDTree(e.points).query(fc)[0].max()))
+    return d / r

@@ -246,7 +246,7 @@ def test_acceptance_8_plateau_floor_and_ceiling():
         for pinch in sweep:
             cfg = pl.ExperimentConfig(*ORTH, boundary_segments=256,
                                       pinch_radius=pinch)
-            rep = pl.run_experiment(cfg)
+            rep = pl.run_experiment(cfg, pl.build_competitor(cfg))
             assert rep.final_area >= rep.certificate_bound - rep.tolerance, pinch
             assert rep.certificate_bound >= 2 * np.pi - 2e-2, pinch
             assert rep.verdict != "improved", pinch
@@ -255,7 +255,7 @@ def test_acceptance_8_plateau_floor_and_ceiling():
         for pinch in sweep:
             cfg = pl.ExperimentConfig(np.pi / 6, np.pi / 6,
                                       boundary_segments=256, pinch_radius=pinch)
-            rep = pl.run_experiment(cfg)
+            rep = pl.run_experiment(cfg, pl.build_competitor(cfg))
             assert rep.final_area <= rep.initial_area + 1e-12
             improved.append(rep.final_area < 2 * np.pi - 5e-2)
         assert any(improved)

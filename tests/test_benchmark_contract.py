@@ -91,3 +91,12 @@ def test_scan_pinch_verify_reads_the_report_of_either_exit():
     problems, digest = _perfbench("workloads").ScanPinch().verify({}, None, reports)
     assert isinstance(problems, list)
     assert re.fullmatch("[0-9a-f]{64}", digest)
+
+
+def test_bounds_probe_reads_a_real_bound_report():
+    # the tracer's bounds probe reads BoundReport.samples and
+    # .refinement_iters, which bounds keeps for it
+    from planes4 import bounds, grassmann
+    rep = bounds.sup_projection_sum(*grassmann.canonical_pair(0.4, 1.1))
+    probe = _perfbench("tracer").PROBES["bounds.sup_projection_sum"]
+    assert probe((), {}, rep) == {"bounds.samples": 2, "bounds.refinement_iters": 0}

@@ -212,6 +212,9 @@ OUT_OF_RANGE = [
     (["scan", "--eps", "0.01", "--alpha1", "2"], "(2.0, "),
     (["bounds", "--alpha1", "2", "--alpha2", "2"], "(2.0, 2.0)"),
     (["wirtinger", "--tol", "-1"], "got -1.0"),
+    (["wirtinger", "--tol", "1e-300"], "got 1e-300"),
+    (["plateau", "--alpha1", "1e-13", "--alpha2", "1e-13", "--pinch", "0.2", "--segments", "32"],
+     "angles (1e-13, 1e-13)"),
 ]
 
 
@@ -371,10 +374,22 @@ def test_module_entry_matches_run_command(tmp_path):
             == (tmp_path / "r" / "results.csv").read_bytes())
 
 
+def _documented_columns(docs: str) -> dict[str, set[str]]:
+    """Column names listed in each subcommand's table of docs/cli.md."""
+    out = {}
+    for section in docs.split("\n## ")[1:]:
+        name, _, body = section.partition("\n")
+        rows = [line.split("|")[1] for line in body.splitlines() if line.startswith("| ")]
+        out[name.strip()] = {c.strip() for cell in rows[1:] for c in cell.split(",")}
+    return out
+
+
 def test_every_csv_column_is_documented(tmp_path):
     # emitted headers must all appear in the subcommand help epilog and in
-    # docs/cli.md: no undocumented columns
+    # docs/cli.md, and every column docs/cli.md lists for a subcommand must
+    # be emitted: no undocumented columns and no stale ones
     docs = (Path(__file__).resolve().parent.parent / "docs" / "cli.md").read_text()
+    listed = _documented_columns(docs)
     mesh_path = tmp_path / "m.mesh4"
     write_mesh4(mesh_path, build_union_mesh(np.pi / 2, np.pi / 2, 32))
     runs = {
@@ -397,3 +412,4 @@ def test_every_csv_column_is_documented(tmp_path):
         for col in header:
             assert col in help_text, (name, col)
             assert col in docs, (name, col)
+        assert listed[name] == set(header), name

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from planes4 import exterior as ex
 
-from helpers import quad_wedge_coefficient, random_simple_units
+from helpers import antisymmetric_matrix, apply_map2, quad_wedge_coefficient, random_simple_units
 
 coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 vec4 = st.tuples(coord, coord, coord, coord).map(np.array)
@@ -101,12 +101,12 @@ def test_pluecker_matches_quad_wedge_on_random_input():
 def test_apply_map2_identity():
     rng = np.random.default_rng(5)
     xi = rng.normal(size=6)
-    assert np.allclose(ex.apply_map2(np.eye(4), xi), xi, atol=1e-15)
+    assert np.allclose(apply_map2(np.eye(4), xi), xi, atol=1e-15)
 
 
 def test_apply_map2_diagonal_against_wedge_oracle():
     f = np.diag([2.0, 3.0, 1.0, 1.0])
-    got = ex.apply_map2(f, ex.E12)
+    got = apply_map2(f, ex.E12)
     want = ex.wedge(f @ np.array([1.0, 0, 0, 0]), f @ np.array([0, 1.0, 0, 0]))
     assert np.allclose(got, want, atol=1e-15)
     assert np.allclose(got, 6.0 * ex.E12, atol=1e-15)
@@ -116,7 +116,7 @@ def test_apply_map2_projector_kills_transverse_basis_vector():
     p = np.diag([1.0, 1.0, 0.0, 0.0])
     e13 = np.zeros(6)
     e13[1] = 1.0
-    assert np.allclose(ex.apply_map2(p, e13), 0.0, atol=1e-15)
+    assert np.allclose(apply_map2(p, e13), 0.0, atol=1e-15)
 
 
 def test_apply_map2_simple_decomposition():
@@ -124,7 +124,7 @@ def test_apply_map2_simple_decomposition():
     f = rng.normal(size=(4, 4))
     x = rng.normal(size=4)
     y = rng.normal(size=4)
-    assert np.allclose(ex.apply_map2(f, ex.wedge(x, y)),
+    assert np.allclose(apply_map2(f, ex.wedge(x, y)),
                        ex.wedge(f @ x, f @ y), atol=1e-10)
 
 
@@ -135,8 +135,8 @@ def test_functoriality_on_random_simple_inputs(seed):
     f = rng.normal(size=(4, 4))
     g = rng.normal(size=(4, 4))
     xi = random_simple_units(rng, 1)[0]
-    lhs = ex.apply_map2(f @ g, xi)
-    rhs = ex.apply_map2(f, ex.apply_map2(g, xi))
+    lhs = apply_map2(f @ g, xi)
+    rhs = apply_map2(f, apply_map2(g, xi))
     assert np.allclose(lhs, rhs, atol=1e-10 * max(1.0, float(np.abs(lhs).max())))
 
 
@@ -150,7 +150,22 @@ def test_pluecker_soundness_bulk():
 def test_antisymmetric_matrix_pairing():
     rng = np.random.default_rng(8)
     xi = rng.normal(size=6)
-    a = ex.antisymmetric_matrix(xi)
+    a = antisymmetric_matrix(xi)
     x = rng.normal(size=4)
     y = rng.normal(size=4)
     assert x @ a @ y == pytest.approx(ex.inner(xi, ex.wedge(x, y)), rel=1e-12)
+
+
+def test_star_pairs_like_the_quad_wedge():
+    # <star(xi), zeta> is the e1^e2^e3^e4 coefficient of xi ^ zeta, the star
+    # is an involution, and the halves (xi +- star(xi))/2 differ in squared
+    # norm by 2 pluecker(xi)
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        xi, zeta = rng.normal(size=6), rng.normal(size=6)
+        assert ex.inner(ex.star(xi), zeta) == pytest.approx(
+            quad_wedge_coefficient(xi, zeta), rel=1e-12, abs=1e-12)
+        assert np.array_equal(ex.star(ex.star(xi)), xi)
+        plus, minus = (xi + ex.star(xi)) / 2, (xi - ex.star(xi)) / 2
+        assert ex.norm(plus) ** 2 - ex.norm(minus) ** 2 == pytest.approx(
+            2.0 * ex.pluecker(xi), rel=1e-12, abs=1e-12)

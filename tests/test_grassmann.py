@@ -5,7 +5,8 @@ from planes4 import exterior as ex
 from planes4 import grassmann as gr
 from planes4.rng import SplitMix64
 
-from helpers import characteristic_angles_oracle, random_rotation, random_simple_units
+from helpers import (apply_map2, characteristic_angles_oracle, plane_from_vectors, planes_equal,
+                     projector, random_rotation, random_simple_units)
 
 
 def test_orthogonal_pair_angles():
@@ -32,8 +33,8 @@ def test_canonical_orthogonal_gram_vanishes():
 
 def test_canonical_zero_angles_coincide():
     p1, p2 = gr.canonical_pair(0.0, 0.0)
-    assert gr.planes_equal(p1, p2)
-    assert gr.planes_equal(p2, gr.P01)
+    assert planes_equal(p1, p2)
+    assert planes_equal(p2, gr.P01)
 
 
 def test_canonical_pair_definitional_oracle():
@@ -57,8 +58,8 @@ def test_canonical_pair_rejects_bad_angles():
 def test_angle_symmetry():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        p = gr.plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
-        q = gr.plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
+        p = plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
+        q = plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
         a = gr.characteristic_angles(p, q)
         b = gr.characteristic_angles(q, p)
         assert abs(a.alpha1 - b.alpha1) <= 1e-12
@@ -68,8 +69,8 @@ def test_angle_symmetry():
 def test_angle_rotation_invariance():
     rng = np.random.default_rng(12)
     for _ in range(50):
-        p = gr.plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
-        q = gr.plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
+        p = plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
+        q = plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
         rot = random_rotation(rng)
         pr = gr.Plane(p.basis @ rot.T)
         qr = gr.Plane(q.basis @ rot.T)
@@ -80,14 +81,14 @@ def test_angle_rotation_invariance():
 
 
 def test_projector_standard_plane():
-    assert np.array_equal(gr.projector(gr.P01), np.diag([1.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(projector(gr.P01), np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_projector_properties_and_fixed_points():
     rng = np.random.default_rng(13)
     for _ in range(25):
-        p = gr.plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
-        m = gr.projector(p)
+        p = plane_from_vectors(rng.normal(size=4), rng.normal(size=4))
+        m = projector(p)
         assert np.max(np.abs(m @ m - m)) <= 1e-12
         assert np.max(np.abs(m - m.T)) <= 1e-12
         assert np.trace(m) == pytest.approx(2.0, abs=1e-12)
@@ -99,7 +100,7 @@ def test_projected_bivector_norm_is_cos_product():
     # |wedge_2 p1 (bivector of P2)| == cos(a1) cos(a2), from the closed form
     for a1, a2 in [(0.3, 0.5), (np.pi / 6, np.pi / 3), (1.1, 1.4)]:
         p1, p2 = gr.canonical_pair(a1, a2)
-        img = ex.apply_map2(gr.projector(p1), p2.bivector)
+        img = apply_map2(projector(p1), p2.bivector)
         assert ex.norm(img) == pytest.approx(np.cos(a1) * np.cos(a2), abs=1e-12)
 
 

@@ -188,7 +188,7 @@ def test_certificate_is_sound_for_arbitrary_meshes():
 
 def test_certificate_threshold_angles():
     # alpha = arccos(eps/2) with eps = 0.1: bound >= 2 pi / 1.1 when covering
-    from planes4.bounds import angle_threshold
+    from helpers import angle_threshold
     a = angle_threshold(0.1)
     m = pl.build_union_mesh(a, a, 256)
     bound, covers = pl.certificate_lower_bound(m, *gr.canonical_pair(a, a), 256)
@@ -206,7 +206,7 @@ def test_certificate_rejects_low_resolution():
 
 def test_experiment_orthogonal_unpinched_certified():
     cfg = pl.ExperimentConfig(*ORTH, boundary_segments=128, max_iters=30)
-    rep = pl.run_experiment(cfg)
+    rep = pl.run_experiment(cfg, pl.build_competitor(cfg))
     assert rep.verdict == "certified-optimal"
     assert rep.stopped == "converged" and rep.grad_norm < pl.TOL_GRAD
     assert rep.final_area <= rep.initial_area + 1e-12
@@ -217,7 +217,7 @@ def test_experiment_orthogonal_unpinched_certified():
 def test_experiment_small_angle_pinch_improves():
     cfg = pl.ExperimentConfig(np.pi / 6, np.pi / 6, boundary_segments=128,
                               pinch_radius=0.2, max_iters=30)
-    rep = pl.run_experiment(cfg)
+    rep = pl.run_experiment(cfg, pl.build_competitor(cfg))
     assert rep.verdict == "improved"
     assert rep.stopped == "max-iters" and rep.grad_norm > pl.TOL_GRAD
     assert rep.final_area < 2 * np.pi - 5e-2
@@ -227,7 +227,7 @@ def test_experiment_orthogonal_pinch_never_improves():
     for pinch in (0.1, 0.3):
         cfg = pl.ExperimentConfig(*ORTH, boundary_segments=128,
                                   pinch_radius=pinch, max_iters=40)
-        rep = pl.run_experiment(cfg)
+        rep = pl.run_experiment(cfg, pl.build_competitor(cfg))
         assert rep.verdict != "improved"
         assert rep.final_area >= rep.certificate_bound - rep.tolerance
 

@@ -9,8 +9,8 @@ from planes4 import grassmann as gr
 from planes4 import scanner as sc
 from planes4.plateau import build_pinched_competitor, build_union_mesh
 
-from helpers import (brute_force_critical_scale, search_translate_oracle,
-                     window_mask_oracle)
+from helpers import (bicylinder_clip, brute_force_critical_scale, relative_distance,
+                     search_translate_oracle, window_mask_oracle)
 
 PLANES = (gr.P01, gr.P02)
 
@@ -23,7 +23,7 @@ def small_plane_sample(spacing=8e-3):
 
 def test_clip_of_plane_sample_is_unit_disk_per_plane():
     e = small_plane_sample()
-    clipped = sc.bicylinder_clip(e, *PLANES, np.zeros(4), 1.0)
+    clipped = bicylinder_clip(e, *PLANES, np.zeros(4), 1.0)
     # for points on either plane the bi-cylinder clip at the origin keeps
     # exactly the in-plane radius <= 1 points
     want = e.points[np.linalg.norm(e.points, axis=1) <= 1.0]
@@ -33,9 +33,9 @@ def test_clip_of_plane_sample_is_unit_disk_per_plane():
 
 def test_clip_idempotent():
     e = small_plane_sample()
-    once = sc.bicylinder_clip(e, *PLANES, np.zeros(4), 0.7)
-    twice = sc.bicylinder_clip(sc.SetSample(once, e.resolution), *PLANES,
-                               np.zeros(4), 0.7)
+    once = bicylinder_clip(e, *PLANES, np.zeros(4), 0.7)
+    twice = bicylinder_clip(sc.SetSample(once, e.resolution), *PLANES,
+                            np.zeros(4), 0.7)
     assert np.array_equal(once, twice)
 
 
@@ -43,7 +43,7 @@ def test_clip_excludes_outside_point():
     r, h = 0.5, 0.01
     pts = np.array([[r + h, 0.0, 0.0, 0.0], [r - h, 0.0, 0.0, 0.0]])
     e = sc.SetSample(pts, h)
-    clipped = sc.bicylinder_clip(e, *PLANES, np.zeros(4), r)
+    clipped = bicylinder_clip(e, *PLANES, np.zeros(4), r)
     assert len(clipped) == 1
     assert clipped[0, 0] == r - h
 
@@ -52,27 +52,27 @@ def test_clip_excludes_outside_point():
 
 def test_relative_distance_identical_sets():
     e = small_plane_sample()
-    assert sc.relative_distance(e, e, *PLANES, np.zeros(4), 1.0) == 0.0
+    assert relative_distance(e, e, *PLANES, np.zeros(4), 1.0) == 0.0
 
 
 def test_relative_distance_translate_bound():
     e = small_plane_sample()
     delta = 0.05
     f = sc.SetSample(e.points + np.array([delta, 0.0, 0.0, 0.0]), e.resolution)
-    d = sc.relative_distance(e, f, *PLANES, np.zeros(4), 1.0)
+    d = relative_distance(e, f, *PLANES, np.zeros(4), 1.0)
     assert d <= delta + e.resolution
 
 
 def test_relative_distance_empty_clips():
     e = sc.SetSample(np.array([[3.0, 0.0, 0.0, 0.0]]), 0.01)
     f = sc.SetSample(np.array([[0.0, 3.0, 0.0, 0.0]]), 0.01)
-    assert sc.relative_distance(e, f, *PLANES, np.zeros(4), 1.0) == 0.0
+    assert relative_distance(e, f, *PLANES, np.zeros(4), 1.0) == 0.0
 
 
 def test_relative_distance_one_sided_when_one_clip_empty():
     e = sc.SetSample(np.array([[3.0, 0.0, 0.0, 0.0]]), 0.01)   # outside window
     f = sc.SetSample(np.array([[0.1, 0.0, 0.0, 0.0]]), 0.01)   # inside
-    d = sc.relative_distance(e, f, *PLANES, np.zeros(4), 1.0)
+    d = relative_distance(e, f, *PLANES, np.zeros(4), 1.0)
     assert d == pytest.approx(2.9, abs=1e-12)                   # f-point to e
 
 
@@ -93,9 +93,9 @@ def test_nested_shell_contrast():
     n = 50
     outer = shell(r + 1.0 / n)
     inner = shell(r - 1.0 / n)
-    assert len(sc.bicylinder_clip(outer, *PLANES, np.zeros(4), r)) == 0
-    assert len(sc.bicylinder_clip(inner, *PLANES, np.zeros(4), r)) > 0
-    d = sc.relative_distance(outer, inner, *PLANES, np.zeros(4), r)
+    assert len(bicylinder_clip(outer, *PLANES, np.zeros(4), r)) == 0
+    assert len(bicylinder_clip(inner, *PLANES, np.zeros(4), r)) > 0
+    d = relative_distance(outer, inner, *PLANES, np.zeros(4), r)
     assert d <= (2.0 / n + 0.2) / r   # shell gap plus sampling slack
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from planes4 import exterior as ex
 from planes4 import grassmann as gr
 from planes4 import surfaces as sf
+from planes4.bounds import sup_projection_sum
 from planes4.errors import ConfigError
 
 from helpers import fan_disk, random_rotation, shadow_bitmap_oracle
@@ -325,10 +326,10 @@ def test_projection_report_single_flat_disk():
     lam = rep.lambda_used
     rep = sf.projection_inequality_report(degenerate, gr.P01, gr.P02, 256)
     assert rep.lambda_used == lam and rep.inequality_slack >= -1e-6
-    # with no face to project, lambda is the proven bound 1 + 2 cos(alpha1)
+    # with no face to project, lambda is the pair's sharp supremum, 1 here
     empty = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
     rep = sf.projection_inequality_report(empty, gr.P01, gr.P02, 256)
-    assert rep.lambda_used == 1.0 + 2.0 * np.cos(np.pi / 2)
+    assert rep.lambda_used == sup_projection_sum(gr.P01, gr.P02).sup_value == 1.0
     assert rep.inequality_slack == 0.0
 
 
