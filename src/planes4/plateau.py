@@ -10,7 +10,11 @@ competitor family.
 ``minimize_area`` runs plain gradient descent with backtracking on the
 free vertices (area Hessians are rank-deficient at cone points, so
 robustness beats Newton here), radially retracting anything that leaves
-the closed unit ball.  Its schedule is fixed: the step starts at 0.01,
+the closed unit ball.  Its area-and-gradient kernel is coordinate-major:
+each edge coordinate, wedge coefficient and gradient coordinate is one
+contiguous row over the faces, summed in the grouping of the row-major
+``exterior.wedge``/einsum/``np.add.at`` oracle, so its bits equal the
+oracle's.  Its schedule is fixed: the step starts at 0.01,
 and the descent stops as converged once the free-vertex gradient norm
 falls below ``TOL_GRAD`` = 1e-6; only the iteration cap varies.
 ``certificate_lower_bound`` reads the shadow inequality backwards:
@@ -171,38 +175,46 @@ def build_competitor(cfg: ExperimentConfig) -> TriMesh4:
 def _wedge_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rows A x for the antisymmetric matrices A of the 2-vectors w.
 
-    A[i, j] = w[k] = -A[j, i] for basis pair k = (i, j).  Each row sums its
-    three terms as (b0 + b2) + (b1 + b3) over column b with the zero
-    diagonal term dropped, the grouping of numpy's einsum
+    Coordinate-major: w is (6, m), one row per basis pair in
+    ``exterior.BASIS`` order, x is (4, m), and the result is (4, m).
+    A[i, j] = w[k] = -A[j, i] for basis pair k = (i, j).  Each output row
+    sums its three terms as (b0 + b2) + (b1 + b3) over column b with the
+    zero diagonal term dropped, the grouping of numpy's einsum
     "fab,fb->fa" on 4 columns, so results match it bit for bit.
     """
-    w0, w1, w2, w3, w4, w5 = w.T
-    x0, x1, x2, x3 = x.T
-    out = np.empty((len(w), 4))
-    out[:, 0] = w1 * x2 + (w0 * x1 + w2 * x3)
-    out[:, 1] = (w3 * x2 - w0 * x0) + w4 * x3
-    out[:, 2] = -(w1 * x0) + (w5 * x3 - w3 * x1)
-    out[:, 3] = (-(w2 * x0) - w5 * x2) - w4 * x1
+    w0, w1, w2, w3, w4, w5 = w
+    x0, x1, x2, x3 = x
+    out = np.empty_like(x)
+    out[0] = w1 * x2 + (w0 * x1 + w2 * x3)
+    out[1] = (w3 * x2 - w0 * x0) + w4 * x3
+    out[2] = -(w1 * x0) + (w5 * x3 - w3 * x1)
+    out[3] = (-(w2 * x0) - w5 * x2) - w4 * x1
     return out
 
 
 def _area_and_gradient(verts: np.ndarray, faces: np.ndarray):
-    p0 = verts[faces[:, 0]]
-    u = verts[faces[:, 1]] - p0
-    v = verts[faces[:, 2]] - p0
-    w = exterior.wedge(u, v)
-    n = np.sqrt(np.sum(w * w, axis=1))
+    corners = np.ascontiguousarray(faces.T)          # (3, m)
+    p = np.take(np.ascontiguousarray(verts.T), corners, axis=1)
+    u = p[:, 1] - p[:, 0]                            # (4, m) edge rows
+    v = p[:, 2] - p[:, 0]
+    w = np.empty((6, len(faces)))
+    for k, (i, j) in enumerate(exterior.BASIS):      # the rows of exterior.wedge(u, v)
+        w[k] = u[i] * v[j] - u[j] * v[i]
+    # the builtin sum adds the six rows left to right, as np.sum(w * w, axis=1)
+    # adds the six squares of one face
+    n = np.sqrt(sum(w * w))
     total = 0.5 * float(np.sum(n))
-    den = (2.0 * np.maximum(n, 1e-30))[:, None]
-    g1 = _wedge_apply(w, v) / den
-    g2 = -_wedge_apply(w, u) / den
-    g0 = -(g1 + g2)
+    den = 2.0 * np.maximum(n, 1e-30)
+    g = np.empty((4, 3, len(faces)))                 # coordinate, corner, face
+    g[:, 1] = _wedge_apply(w, v) / den
+    g[:, 2] = -_wedge_apply(w, u) / den
+    g[:, 0] = -(g[:, 1] + g[:, 2])
     # bincount adds in input order, corner 0 of every face first, like add.at
-    idx = faces.T.reshape(-1)
-    g = np.concatenate([g0, g1, g2])
+    idx = corners.reshape(-1)
+    g = g.reshape(4, -1)
     grad = np.empty_like(verts)
     for c in range(4):
-        grad[:, c] = np.bincount(idx, weights=g[:, c], minlength=len(verts))
+        grad[:, c] = np.bincount(idx, weights=g[c], minlength=len(verts))
     return total, grad
 
 
@@ -237,11 +249,14 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
         if gnorm < TOL_GRAD:
             stopped = "converged"
             break
+        grad[mesh.fixed] = 0.0                       # x - s * 0.0 is x, bit for bit
         s = step
         while s > 1e-12 * _STEP:
-            trial = verts.copy()
-            trial[free] -= s * grad[free]
-            _retract_to_ball(trial, free)
+            trial = verts - s * grad
+            # the squares np.linalg.norm sums: as sqrt is monotone and
+            # sqrt(1) = 1, this admits every row that _retract_to_ball moves
+            if (np.sum(trial * trial, axis=1)[free] > 1.0).any():
+                _retract_to_ball(trial, free)
             val, g = _area_and_gradient(trial, mesh.faces)
             if val < current:
                 verts, current, grad = trial, val, g

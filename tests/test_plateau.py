@@ -98,6 +98,14 @@ def _perturbed(mesh, rng, scale):
     return verts
 
 
+def _assert_kernel_matches_oracle(verts, faces):
+    total, grad = pl._area_and_gradient(verts, faces)
+    want_total, want_grad = area_gradient_oracle(verts, faces)
+    assert total == want_total
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
 def test_area_gradient_matches_oracle_bitwise():
     rng = np.random.default_rng(71)
     meshes = [pl.build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 256),
@@ -105,12 +113,16 @@ def test_area_gradient_matches_oracle_bitwise():
               pl.build_union_mesh(0.4, 0.9, 64)]
     for m in meshes:
         for scale in (0.0, 1e-3, 3e-2):
-            verts = _perturbed(m, rng, scale)
-            total, grad = pl._area_and_gradient(verts, m.faces)
-            want_total, want_grad = area_gradient_oracle(verts, m.faces)
-            assert total == want_total
-            assert np.array_equal(grad, want_grad)
-            assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+            _assert_kernel_matches_oracle(_perturbed(m, rng, scale), m.faces)
+    # the fan centre moved onto rim vertex 1 collapses faces (0, 1, 2) and
+    # (0, 64, 1) to zero area, so their gradient divides by the 1e-30 floor
+    m = meshes[2]
+    verts = _perturbed(m, rng, 1e-3)
+    verts[0] = verts[1]
+    p = verts[m.faces]
+    collapsed = (p[:, 0] == p[:, 1]).all(axis=1) | (p[:, 0] == p[:, 2]).all(axis=1)
+    assert np.flatnonzero(collapsed).tolist() == [0, 63]
+    _assert_kernel_matches_oracle(verts, m.faces)
 
 
 def test_area_gradient_central_differences():
@@ -150,6 +162,43 @@ def test_minimize_monotone_trace_and_boundary_fidelity():
     assert (np.diff(res.trace) <= 1e-12).all()
     assert np.array_equal(res.mesh.vertices[m.fixed], m.vertices[m.fixed])
     assert np.max(np.linalg.norm(res.mesh.vertices, axis=1)) <= 1.0 + 1e-12
+
+
+def _retraction_case():
+    """A union fan whose free centre vertex starts at norm 1.5."""
+    m = pl.build_union_mesh(np.pi / 6, np.pi / 3, 64)
+    verts = m.vertices.copy()
+    verts[0] = [1.5, 0.0, 0.0, 0.0]
+    return sf.TriMesh4(verts, m.faces, m.fixed)
+
+
+def test_minimize_retracts_free_vertices_into_ball():
+    # without the retraction the centre is still at norm 1.35 after 3 steps
+    m = _retraction_case()
+    res = pl.minimize_area(m, max_iters=3)
+    assert len(res.trace) == 4 and (np.diff(res.trace) < 0).all()
+    free = ~m.fixed
+    assert np.max(np.linalg.norm(res.mesh.vertices[free], axis=1)) <= 1.0 + 1e-12
+
+
+# the leading 16 hex digits of the sha256 of the trace bytes followed by the
+# final vertex bytes (little-endian float64) after 40 descent steps; the input
+# vertices are rounded to multiples of 2^-30 first, so that a last-bit
+# difference in the platform's sin and cos, which build the rings, reaches
+# the digest only if it crosses a rounding boundary
+@pytest.mark.parametrize("case, digest", [
+    ("pinched", "7f773ef65b972f94"),
+    ("retraction", "d5a7e4151cd41fe4"),
+])
+def test_minimize_bytes_are_pinned(case, digest):
+    if case == "pinched":
+        m = pl.build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 64)
+    else:
+        m = _retraction_case()
+    m = sf.TriMesh4(np.round(m.vertices * 2.0 ** 30) / 2.0 ** 30, m.faces, m.fixed)
+    res = pl.minimize_area(m, max_iters=40)
+    data = res.trace.astype("<f8").tobytes() + res.mesh.vertices.astype("<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def test_minimize_requires_fixed_boundary():
