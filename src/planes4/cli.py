@@ -18,7 +18,10 @@ SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
 so runs reproduce bit-for-bit across platforms and ports.  The env var
 PLANES4_THREADS caps sweep parallelism and kd-tree query threads.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (among them a ``scan
+--density`` whose mesh sample would exceed 2^24 points), 2 numerical
+failure (``NumericalError`` or a numpy ``LinAlgError``), 3 internal error
+(any other exception, a bug; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import hashlib
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -451,7 +455,10 @@ def run_command(argv: list[str]) -> int:
         argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out directory {out}: {exc}") from exc
         started = time.time()
         config = {k: v for k, v in vars(args).items()
                   if k not in ("out", "config") and v is not None}
@@ -470,9 +477,13 @@ def run_command(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"planes4: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ValueError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"planes4: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"planes4: internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

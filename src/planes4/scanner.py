@@ -135,10 +135,11 @@ _SET_CHUNK = 16_384
 
 
 class _PairGeometry:
-    """Cached projections for a plane pair and one sampled set.
+    """What every window of a scan reads across the whole sample.
 
-    ``tree`` is the one kd-tree of the scan: it holds the whole sample, so
-    every lattice query in every window is answered exactly by it.
+    The plane pair, its complement bases ``comp``, the in-plane coordinates
+    ``inplane`` and ``tree``, the scan's one kd-tree, which answers every
+    lattice query in every window exactly.
     """
 
     def __init__(self, e: SetSample, p1: Plane, p2: Plane):
@@ -148,22 +149,11 @@ class _PairGeometry:
         self.comp = (_complement_basis(p1), _complement_basis(p2))
         pts = e.points
         self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
-        self.normal = (pts @ self.comp[0].T, pts @ self.comp[1].T)
         self.tree = cKDTree(pts)
 
-    def window_index(self, x: np.ndarray, r: float,
-                     within: np.ndarray | None = None) -> np.ndarray:
-        """Ascending indices of the sample points inside D(x, r).
-
-        Only the points of ``within`` (ascending indices, all points when
-        None) are tested, so it must hold every point of D(x, r); each
-        point's test is the same arithmetic either way.
-        """
-        a, c = self.inplane
-        if within is not None:
-            a, c = a[within], c[within]
-        m = _in_bicylinder(a, c, self.planes, x, r)
-        return np.flatnonzero(m) if within is None else within[m]
+    def window_index(self, x: np.ndarray, r: float) -> np.ndarray:
+        """Ascending indices of the sample points inside D(x, r)."""
+        return np.flatnonzero(_in_bicylinder(*self.inplane, self.planes, x, r))
 
     def pair_dist(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Distance (len(qs), m) of each point to the pair translated by each q.
@@ -208,32 +198,33 @@ class _PairGeometry:
 class _WindowCtx:
     """One scan window: its points, the search subsample and the window value.
 
-    ``value`` is the one routine for the window value max(set-side sup,
-    lattice sup) / r at a translate q: the search calls it with a bar to
-    reject candidates early, ``exact_value`` calls it with no bar on all
-    the window's points.  The pair lattice has ``_PLANE_POINTS`` points per
-    window diameter.  ``wide`` holds the sample points inside D(x, 2r).
-    It serves only as the superset the next window's masks are cut from:
-    ``within`` (ascending indices holding every point of D(x, 2r)) narrows
-    this window's masks to a parent window's points.  ``candidates`` and
+    ``idx`` holds the sample points inside D(x, r), cut by a mask over the
+    whole sample, and ``n1``, ``n2`` the complement coordinates of the
+    search subsample.  ``value`` is the one routine for the window value
+    max(set-side sup, lattice sup) / r at a translate q: the search calls
+    it with a bar to reject candidates early, ``exact_value`` calls it
+    with no bar on all the window's points.  The pair lattice has
+    ``_PLANE_POINTS`` points per window diameter.  ``candidates`` and
     ``rejected_early`` count the search's evaluations in this window.
     """
 
-    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float,
-                 within: np.ndarray | None = None):
+    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float):
         self.geom = geom
         self.x = np.asarray(x, dtype=float)
         self.r = r
         self.spacing = 2.0 * r / _PLANE_POINTS
-        self.wide = geom.window_index(self.x, 2.0 * r, within)
-        self.idx = geom.window_index(self.x, r, self.wide)
+        self.idx = geom.window_index(self.x, r)
         stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
-        sub = self.idx[::stride]
-        self.n1 = geom.normal[0][sub]
-        self.n2 = geom.normal[1][sub]
+        self.n1, self.n2 = self._normal(self.idx[::stride])
         self.candidates = 0
         self.rejected_early = 0
         self._probe = 0              # lattice index that rejected the last candidate
+
+    def _normal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complement coordinates (m, 2) per plane of the sample points idx."""
+        pts = self.geom.e.points[idx]
+        comp = self.geom.comp
+        return pts @ comp[0].T, pts @ comp[1].T
 
     def value(self, q: np.ndarray, n1: np.ndarray, n2: np.ndarray,
               bar: float = np.inf) -> float | None:
@@ -279,7 +270,7 @@ class _WindowCtx:
 
     def exact_value(self, q: np.ndarray) -> float:
         """The window value at q over every point of the window."""
-        return self.value(q, self.geom.normal[0][self.idx], self.geom.normal[1][self.idx])
+        return self.value(q, *self._normal(self.idx))
 
 
 def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
@@ -294,7 +285,8 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     replaces the incumbent only when it is lower by more than 1e-15.  The
     pair lattice has 48 points per window diameter.  Very large windows
     are subsampled for the search itself, but the returned distance is
-    the exact full-window value at the returned translate.  Lattice
+    the exact full-window value at the returned translate.  The window is
+    cut from the whole sample by one bi-cylinder mask, and its lattice
     distances come from one kd-tree over the whole sample.
     """
     ctx = _WindowCtx(_PairGeometry(e, *planes), x, r)
@@ -368,12 +360,9 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         )
     geom = _PairGeometry(e, *planes)
     steps: list[ScanStep] = []
-    n, q, within = 1, np.zeros(4), None             # q_1 = 0
+    n, q = 1, np.zeros(4)                           # q_1 = 0
     while (s := 2.0 ** (-n)) >= floor:
-        # |q_{n+1} - q_n|_inf <= s_n / 4 moves each in-plane projection by
-        # at most s_n / 2, so D(q_{n+1}, 2 s_{n+1}) lies inside D(q_n, 2 s_n)
-        # and each window is cut from its parent's wide point set
-        ctx = _WindowCtx(geom, q, s, within)
+        ctx = _WindowCtx(geom, q, s)
         carried = ctx.exact_value(q)
         best_q, best_d = _search_translate(ctx, 1e-4 * eps)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
@@ -386,22 +375,36 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
                                if shrink > 0 else None),
                 dist_double=_WindowCtx(geom, q, 2.0 * s).exact_value(q),
             )
-        n, q, within = n + 1, best_q, ctx.wide
+        n, q = n + 1, best_q
     return ScanReport(tuple(steps), eps, floor, e.resolution)
 
 
+#: most points ``sample_mesh`` builds (512 MB of coordinates)
+_SAMPLE_POINT_CAP = 1 << 24
+
+
 def sample_mesh(mesh: TriMesh4, spacing: float) -> SetSample:
-    """Sample a mesh by vertices plus barycentric face-interior points."""
+    """Sample a mesh by vertices plus barycentric face-interior points.
+
+    With k = ceil(max edge / spacing), the sample has nv + nf k (k + 1) / 2
+    points; a spacing that asks for more than ``_SAMPLE_POINT_CAP`` is a
+    configuration error, raised before any point is built.
+    """
     if spacing <= 0:
         raise ConfigError(f"spacing must be positive, got {spacing}")
-    pts = [mesh.vertices]
     v = mesh.vertices[mesh.faces]
     edge = max(
         float(np.linalg.norm(v[:, 1] - v[:, 0], axis=1).max()),
         float(np.linalg.norm(v[:, 2] - v[:, 0], axis=1).max()),
         float(np.linalg.norm(v[:, 2] - v[:, 1], axis=1).max()),
     ) if len(mesh.faces) else 0.0
-    k = int(np.ceil(edge / spacing))
+    kf = np.ceil(edge / spacing)
+    count = len(mesh.vertices) + len(mesh.faces) * kf * (kf + 1.0) / 2.0
+    if count > _SAMPLE_POINT_CAP:
+        raise ConfigError(f"sample spacing {spacing:g} would give {count:.4g} mesh sample "
+                          f"points, above the cap of {_SAMPLE_POINT_CAP}")
+    k = int(kf)
+    pts = [mesh.vertices]
     for i in range(1, k + 1):
         for j in range(0, k + 1 - i):
             a = i / (k + 1)

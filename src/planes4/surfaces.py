@@ -195,11 +195,8 @@ def _shadow_bitmap(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    area: float
-    proj_area_mult: tuple[float, float]
     shadow_areas: tuple[float, float]
     lambda_used: float
-    inequality_slack: float
 
 
 def projection_inequality_report(
@@ -214,22 +211,13 @@ def projection_inequality_report(
     rasterization error; read backwards, the inequality is the Plateau
     certificate area >= (shadow1 + shadow2) / lambda.
     """
-    total = area(mesh)
-    pm = (projected_area_with_multiplicity(mesh, p1),
-          projected_area_with_multiplicity(mesh, p2))
     sh = (shadow_area(mesh, p1, resolution), shadow_area(mesh, p2, resolution))
     w = face_tangents(mesh)
     if len(w):
         lam = float(np.max(projection_sums(p1, p2, w)))
     else:
         lam = sup_projection_sum(p1, p2).sup_value
-    return ProjectionReport(
-        area=total,
-        proj_area_mult=pm,
-        shadow_areas=sh,
-        lambda_used=lam,
-        inequality_slack=lam * total - (sh[0] + sh[1]),
-    )
+    return ProjectionReport(shadow_areas=sh, lambda_used=lam)
 
 
 class GraphAreaReport(NamedTuple):

@@ -196,9 +196,10 @@ def area_gradient_oracle(verts: np.ndarray, faces: np.ndarray):
 
 def window_mask_oracle(geom, x: np.ndarray, r: float) -> np.ndarray:
     """Bi-cylinder mask of D(x, r) over the whole sample, as the scanner tests points."""
-    b1 = x @ geom.planes[0].basis.T
-    b2 = x @ geom.planes[1].basis.T
-    a, c = geom.inplane
+    p1, p2 = geom.planes
+    b1 = x @ p1.basis.T
+    b2 = x @ p2.basis.T
+    a, c = geom.e.points @ p1.basis.T, geom.e.points @ p2.basis.T
     m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
     m &= np.hypot(c[:, 0] - b2[0], c[:, 1] - b2[1]) <= r
     return m
@@ -209,11 +210,13 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
 
     Every candidate gets its full set-side sup and a full lattice query
-    against the whole-sample kd-tree ``geom.tree``, and the window masks
-    run over the whole sample.  Only the pair kernels ``sup_to_pair`` and
-    ``pair_lattice`` and that tree (checked against brute force in
-    ``test_lattice_nearest_matches_brute_force``) are shared with the
-    production search.  ``carried`` is the exact window value at q = x.
+    against the whole-sample kd-tree ``geom.tree``, the window masks run
+    over the whole sample, and every projection is taken here from
+    ``e.points``.  Only the complement bases ``geom.comp``, the pair
+    kernels ``sup_to_pair`` and ``pair_lattice`` and that tree (checked
+    against brute force in ``test_lattice_nearest_matches_brute_force``)
+    are shared with the production search.  ``carried`` is the exact
+    window value at q = x.
     """
     from planes4.scanner import (_GRID_N, _MAX_ROUNDS, _PLANE_POINTS, _SEARCH_POINT_CAP,
                                  _PairGeometry)
@@ -224,7 +227,12 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     mask = window_mask_oracle(geom, x, r)
     idx = np.flatnonzero(mask)
     sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
-    n1, n2 = geom.normal[0][sub], geom.normal[1][sub]
+
+    def normal(rows):
+        pts = e.points[rows]
+        return pts @ geom.comp[0].T, pts @ geom.comp[1].T
+
+    n1, n2 = normal(sub)
 
     def lattice_sup(q):
         lat = geom.pair_lattice(x, r, q, spacing)
@@ -238,7 +246,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     def exact(q):
         d = 0.0
         if mask.any():
-            d = float(geom.sup_to_pair(geom.normal[0][mask], geom.normal[1][mask], q)[0])
+            d = float(geom.sup_to_pair(*normal(mask), q)[0])
         return max(d, lattice_sup(q)) / r
 
     if not mask.any():

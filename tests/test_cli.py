@@ -173,6 +173,13 @@ def test_unknown_flag_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_unusable_out_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc = run_command(["bounds", "--out", str(tmp_path / "file" / "x")])
+    assert rc == 1
+    assert "configuration error: cannot create --out directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "a,b"], "--pinch-sweep"),
     (["annulus", "--mode", "exact", "--r0", "0.5", "--acoef", "1,x"], "--acoef"),
@@ -208,6 +215,7 @@ OUT_OF_RANGE = [
     (["annulus", "--mode", "log", "--r0", "0.1", "--fd-check", "--grid-r", "10"], "(10, 512)"),
     (["scan", "--eps", "2"], "got 2.0"),
     (["scan", "--eps", "0.01", "--density", "0"], "got 0.0"),
+    (["scan", "--eps", "0.01", "--density", "1e-5"], "spacing 1e-05 would give 3.2e+11"),
     (["scan", "--eps", "0.01", "--floor", "0.001"], "floor 0.001"),
     (["scan", "--eps", "0.01", "--alpha1", "2"], "(2.0, "),
     (["bounds", "--alpha1", "2", "--alpha2", "2"], "(2.0, 2.0)"),
@@ -246,6 +254,24 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
                       "--fd-check", "--out", str(tmp_path / "y")])
     assert rc == 2
     assert "numerical failure: annulus solve did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (ValueError("a bug"), 3, "internal error: ValueError('a bug')"),
+    (np.linalg.LinAlgError("singular matrix"), 2, "numerical failure: singular matrix"),
+])
+def test_exit_code_follows_the_exception_type(tmp_path, capsys, monkeypatch, exc, code, message):
+    # only the toolkit's numerical errors and numpy's LinAlgError are numerical
+    # failures; any other exception is a bug and shows its traceback
+    def raises(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("planes4.annulus.fd_oracle", raises)
+    rc = run_command(["annulus", "--mode", "log", "--delta", "1", "--r0", "0.1",
+                      "--fd-check", "--out", str(tmp_path / "y")])
+    err = capsys.readouterr().err
+    assert rc == code and message in err, err
+    assert ("Traceback" in err) == (code == 3), err
 
 
 def test_config_file_supplies_flags(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from planes4 import grassmann as gr
 from planes4 import scanner as sc
+from planes4.errors import ConfigError
 from planes4.plateau import build_pinched_competitor, build_union_mesh
 
 from helpers import (bicylinder_clip, brute_force_critical_scale, relative_distance,
@@ -217,26 +218,21 @@ def test_search_bitwise_equals_oracle_at_drawn_centres(name, x, r):
 @pytest.mark.parametrize("name,eps,floor", [("exact", 0.05, 0.03),
                                             ("pinched", 0.05, 0.03),
                                             ("flat_mesh", 0.05, 0.08)])
-def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypatch):
+def test_process_steps_equal_oracle_and_full_sample_windows(name, eps, floor, monkeypatch):
     e = oracle_sample(name)
     made = []
 
     class Recording(sc._WindowCtx):
-        def __init__(self, geom, x, r, within=None):
-            super().__init__(geom, x, r, within)
-            made.append((geom, self, within is not None))
+        def __init__(self, geom, x, r):
+            super().__init__(geom, x, r)
+            made.append((geom, self))
 
     monkeypatch.setattr(sc, "_WindowCtx", Recording)
     rep = sc.epsilon_process(e, PLANES, eps, floor)
-    # every window after the first is cut from its parent's wide set, and
-    # the cut gives the full-sample masks' indices in their order
-    nested = [within for _, _, within in made[:len(rep.steps)]]
-    assert nested == [False] + [True] * (len(rep.steps) - 1)
-    for geom, ctx, _ in made:
+    # every window holds the full-sample mask's indices in their order
+    for geom, ctx in made:
         assert np.array_equal(ctx.idx, np.flatnonzero(window_mask_oracle(geom, ctx.x, ctx.r)))
-        assert np.array_equal(ctx.wide,
-                              np.flatnonzero(window_mask_oracle(geom, ctx.x, 2.0 * ctx.r)))
-    for step, (_, ctx, _) in zip(rep.steps, made):
+    for step, (_, ctx) in zip(rep.steps, made):
         oq, od, carried = search_translate_oracle(e, PLANES, step.center, step.scale,
                                                   tol=1e-4 * eps)
         assert np.array_equal(step.best_q, oq) and step.best_dist == od, step.index
@@ -250,13 +246,13 @@ def test_process_steps_equal_oracle_and_windows_nest(name, eps, floor, monkeypat
 @pytest.mark.parametrize("with_core_point", [True, False])
 def test_lattice_nearest_matches_brute_force(with_core_point):
     # with the core point, D(0, 2r) holds only it and lattice points on the
-    # far side of the window lie nearer the hole's rim; without it the wide
-    # window is empty
+    # far side of the window lie nearer the hole's rim; without it D(0, 2r)
+    # is empty
     r = 0.1
     e = hole_sample(r, with_core_point)
     geom = sc._PairGeometry(e, *PLANES)
     ctx = sc._WindowCtx(geom, np.zeros(4), r)
-    assert len(ctx.wide) == int(with_core_point)
+    assert window_mask_oracle(geom, ctx.x, 2.0 * r).sum() == int(with_core_point)
     for q in (np.zeros(4), np.array([0.02, -0.01, 0.0, 0.01])):
         lat = geom.pair_lattice(ctx.x, r, q, ctx.spacing)
         brute = np.concatenate([
@@ -264,7 +260,7 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
             for a in range(0, len(lat), 64)])
         if with_core_point:
             local = np.linalg.norm(lat - e.points[-1], axis=1)
-            assert np.any(brute < local - 0.1 * r)      # the wide window alone is not enough
+            assert np.any(brute < local - 0.1 * r)      # D(0, 2r) alone is not enough
         np.testing.assert_allclose(geom.tree.query(lat)[0], brute, rtol=1e-12, atol=0)
         # an empty set side leaves the lattice side of the window value
         assert ctx.value(q, np.empty((0, 2)), np.empty((0, 2))) * r == pytest.approx(
@@ -387,3 +383,21 @@ def test_sample_mesh_density(tmp_path):
     # all samples lie on the disk (plane P01, radius <= 1)
     assert np.max(np.abs(s.points[:, 2:])) <= 1e-12
     assert np.max(np.linalg.norm(s.points[:, :2], axis=1)) <= 1.0 + 1e-12
+
+
+def test_sample_mesh_caps_its_point_count(monkeypatch):
+    # the planned count nv + nf k (k + 1) / 2 is the count built, and one
+    # point above the cap is refused before any point is built
+    from helpers import fan_disk
+    m = fan_disk(64, gr.P01)
+    for spacing in (1.5, 0.3, 0.07):
+        k = int(np.ceil(1.0 / spacing))               # the fan's longest edge is a radius
+        count = len(m.vertices) + len(m.faces) * k * (k + 1) // 2
+        assert len(sc.sample_mesh(m, spacing).points) == count
+        monkeypatch.setattr(sc, "_SAMPLE_POINT_CAP", count)
+        assert len(sc.sample_mesh(m, spacing).points) == count
+        monkeypatch.setattr(sc, "_SAMPLE_POINT_CAP", count - 1)
+        monkeypatch.setattr(sc, "SetSample", None)    # building a sample would fail
+        with pytest.raises(ConfigError, match=f"spacing {spacing:g} would give {count} "):
+            sc.sample_mesh(m, spacing)
+        monkeypatch.undo()

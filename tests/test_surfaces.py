@@ -277,6 +277,11 @@ def test_shadow_bitmap_clips_at_grid_edge():
 
 # --------------------------------------------------- projection inequality
 
+def _slack(rep, mesh):
+    """lambda * area - (shadow1 + shadow2), from the report's parts and the mesh area."""
+    return rep.lambda_used * sf.area(mesh) - (rep.shadow_areas[0] + rep.shadow_areas[1])
+
+
 def test_projection_report_orthogonal_disks():
     m1 = fan_disk(256, gr.P01)
     m2 = fan_disk(256, gr.P02)
@@ -285,9 +290,9 @@ def test_projection_report_orthogonal_disks():
     m = sf.TriMesh4(verts, faces, np.concatenate([m1.fixed, m2.fixed]))
     rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
     assert rep.lambda_used == pytest.approx(1.0, abs=1e-9)
-    assert abs(rep.inequality_slack) <= 8.0 / 256
-    assert rep.shadow_areas[0] <= rep.proj_area_mult[0] + 8.0 / 256
-    assert rep.shadow_areas[1] <= rep.proj_area_mult[1] + 8.0 / 256
+    assert abs(_slack(rep, m)) <= 8.0 / 256
+    assert rep.shadow_areas[0] <= sf.projected_area_with_multiplicity(m, gr.P01) + 8.0 / 256
+    assert rep.shadow_areas[1] <= sf.projected_area_with_multiplicity(m, gr.P02) + 8.0 / 256
 
 
 def test_projection_report_graph_mesh_nonnegative_slack():
@@ -306,7 +311,7 @@ def test_projection_report_graph_mesh_nonnegative_slack():
             faces.append([a, a + n + 1, a + 1])
     m = sf.TriMesh4(verts, np.array(faces))
     rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
-    assert rep.inequality_slack >= -8.0 / 256
+    assert _slack(rep, m) >= -8.0 / 256
 
 
 def _unvalidated(verts, faces, fixed):
@@ -319,18 +324,18 @@ def _unvalidated(verts, faces, fixed):
 def test_projection_report_single_flat_disk():
     m = fan_disk(64, gr.P01)
     rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
-    assert rep.inequality_slack >= -1e-6
+    assert _slack(rep, m) >= -1e-6
     # a zero-area face carries no measure and has no tangent plane
     degenerate = _unvalidated(m.vertices, np.vstack([m.faces, [[1, 1, 2]]]), m.fixed)
     assert np.array_equal(sf.face_tangents(degenerate), sf.face_tangents(m))
     lam = rep.lambda_used
     rep = sf.projection_inequality_report(degenerate, gr.P01, gr.P02, 256)
-    assert rep.lambda_used == lam and rep.inequality_slack >= -1e-6
+    assert rep.lambda_used == lam and _slack(rep, degenerate) >= -1e-6
     # with no face to project, lambda is the pair's sharp supremum, 1 here
     empty = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
     rep = sf.projection_inequality_report(empty, gr.P01, gr.P02, 256)
     assert rep.lambda_used == sup_projection_sum(gr.P01, gr.P02).sup_value == 1.0
-    assert rep.inequality_slack == 0.0
+    assert _slack(rep, empty) == 0.0
 
 
 # ------------------------------------------------------------- graph area
