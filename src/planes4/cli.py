@@ -12,6 +12,10 @@ Every run writes into --out:
                        indentation)
 * ``*.mesh4``       -- optional meshes (plateau --write-mesh)
 
+Each file is written under a temporary ``.part`` name and renamed into
+place once all of them are written, and the manifest is written last, so
+an ``--out`` holding ``manifest.txt`` holds every file it lists.
+
 Flags are long-form only; a ``--config`` file in flat key=value form may
 supply any flag (command-line values win).  All randomness is drawn from
 SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
@@ -27,8 +31,10 @@ failure (``NumericalError`` or a numpy ``LinAlgError``), 3 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
+import os
 import sys
 import time
 import traceback
@@ -61,8 +67,8 @@ def _digest(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, config: dict, digest: str,
-                    started: float, paths: list[str]) -> None:
+def _manifest_text(command: str, config: dict, digest: str, started: float,
+                   paths: list[str]) -> str:
     lines = [
         f"command {command}",
         f"digest {digest}",
@@ -74,16 +80,16 @@ def _write_manifest(out: Path, command: str, config: dict, digest: str,
         "config",
     ]
     lines += [f"  {k} {_fmt(v)}" for k, v in sorted(config.items())]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
-def _write_csv(out: Path, digest: str, header: list[str], rows: list[list]) -> None:
+def _csv_text(digest: str, header: list[str], rows: list[list]) -> str:
     lines = [f"# manifest={digest}", ",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    (out / "results.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
-def _write_record(out: Path, digest: str, command: str, payload: dict) -> None:
+def _record_text(digest: str, command: str, payload: dict) -> str:
     lines = [f"manifest {digest}", f"command {command}"]
 
     def emit(d: dict, indent: int):
@@ -97,7 +103,30 @@ def _write_record(out: Path, digest: str, command: str, payload: dict) -> None:
                 lines.append("  " * indent + f"{k} {_fmt(v)}")
 
     emit(payload, 0)
-    (out / "record.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
+
+
+def _write_files(out: Path, files: dict) -> None:
+    """Write files into ``out`` atomically.
+
+    ``files`` maps a file name to its ASCII text or to a function that
+    writes the file at a given path.  Each file is written to its name
+    plus ``.part`` (so no ``*.csv`` or ``*.mesh4`` glob matches it), and
+    only when every write has returned is each renamed into place.  No
+    ``.part`` file is left behind, whether a write raises or not.
+    """
+    parts = {name: out / f"{name}.part" for name in files}
+    try:
+        for name, content in files.items():
+            if isinstance(content, str):
+                parts[name].write_text(content, encoding="ascii")
+            else:
+                content(parts[name])
+        for name, part in parts.items():
+            os.replace(part, out / name)
+    finally:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- bounds
@@ -466,13 +495,15 @@ def run_command(argv: list[str]) -> int:
 
         result = _COMMANDS[args.command](args)   # argparse admits only these
 
-        _write_csv(out, digest, result["header"], result["rows"])
-        _write_record(out, digest, args.command, result["record"])
-        meshes = result.get("meshes", {})
-        for name, mesh in meshes.items():
-            write_mesh4(out / name, mesh)
-        paths = ["results.csv", "record.txt", *meshes, "manifest.txt"]
-        _write_manifest(out, args.command, config, digest, started, paths)
+        files = {"results.csv": _csv_text(digest, result["header"], result["rows"]),
+                 "record.txt": _record_text(digest, args.command, result["record"])}
+        for name, mesh in result.get("meshes", {}).items():
+            files[name] = functools.partial(write_mesh4, mesh=mesh)
+        _write_files(out, files)
+        # the manifest goes last, so its presence means every file it lists is in place
+        paths = [*files, "manifest.txt"]
+        _write_files(out, {"manifest.txt": _manifest_text(args.command, config, digest,
+                                                          started, paths)})
         return 0
     except ConfigError as exc:
         print(f"planes4: configuration error: {exc}", file=sys.stderr)

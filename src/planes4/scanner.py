@@ -119,6 +119,12 @@ def _complement_basis(plane: Plane) -> np.ndarray:
     return q.T[2:4]
 
 
+def _plane_dist(n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance (len(b), m) of points with complement coordinates n (m, 2) to
+    the plane translates with complement coordinates b (k, 2)."""
+    return np.hypot(n[None, :, 0] - b[:, 0, None], n[None, :, 1] - b[:, 1, None])
+
+
 #: cap on window points driving the translate search; the returned distance
 #: is always re-evaluated exactly on the full window
 _SEARCH_POINT_CAP = 150_000
@@ -139,7 +145,11 @@ class _PairGeometry:
 
     The plane pair, its complement bases ``comp``, the in-plane coordinates
     ``inplane`` and ``tree``, the scan's one kd-tree, which answers every
-    lattice query in every window exactly.
+    lattice query in every window exactly.  The tree is built by sliding
+    midpoint (``balanced_tree=False``) without shrinking each node to its
+    points' box (``compact_nodes=False``), which builds and queries faster
+    here; a nearest-neighbour query is exact in any tree shape, so the
+    distances it returns do not depend on these two arguments.
     """
 
     def __init__(self, e: SetSample, p1: Plane, p2: Plane):
@@ -149,7 +159,7 @@ class _PairGeometry:
         self.comp = (_complement_basis(p1), _complement_basis(p2))
         pts = e.points
         self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
-        self.tree = cKDTree(pts)
+        self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
     def window_index(self, x: np.ndarray, r: float) -> np.ndarray:
         """Ascending indices of the sample points inside D(x, r)."""
@@ -161,22 +171,43 @@ class _PairGeometry:
         n1, n2 are the points' complement coordinates (m, 2) per plane; the
         translate only shifts those coordinates by q's.
         """
-        b1 = qs @ self.comp[0].T                     # (k, 2)
-        b2 = qs @ self.comp[1].T
-        d1 = np.hypot(n1[None, :, 0] - b1[:, 0, None],
-                      n1[None, :, 1] - b1[:, 1, None])
-        d2 = np.hypot(n2[None, :, 0] - b2[:, 0, None],
-                      n2[None, :, 1] - b2[:, 1, None])
-        return np.minimum(d1, d2)
+        return np.minimum(_plane_dist(n1, qs @ self.comp[0].T),
+                          _plane_dist(n2, qs @ self.comp[1].T))
 
     def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """Sup over points of the distance to the pair translated by each q."""
+        """Sup over points of the distance to the pair translated by each q.
+
+        The distance to plane i's translate depends on q only through its
+        complement coordinates q @ comp_i.T, and a coarse grid repeats them:
+        on a canonical pair (P1 = P01) the 81 candidates share 9 rows for
+        P1, on the orthogonal pair 9 rows for P2 as well.  So each distinct
+        row of a plane, found by exact equality, gets one hypot pass over
+        the points, in chunks of at most 16 rows, taking first the plane
+        with fewer distinct rows; each q then takes the max of the
+        elementwise minimum of its two rows.  The rows come from the
+        16-row matmul batches ``pair_dist`` would use, so every value has
+        the bits of ``pair_dist(n1, n2, qs).max(axis=1)``.  A pair with no
+        repeated row costs one hypot pass per q and plane, as that does.
+        """
         qs = np.atleast_2d(qs)
-        if not len(n1):
-            return np.zeros(len(qs))
-        out = np.empty(len(qs))
-        for s in range(0, len(qs), 16):              # cap the (batch, m) temporaries
-            out[s:s + 16] = self.pair_dist(n1, n2, qs[s:s + 16]).max(axis=1)
+        out = np.zeros(len(qs))
+        if not len(n1) or not len(qs):
+            return out
+        sides = []
+        for n, comp in zip((n1, n2), self.comp):
+            b = np.vstack([qs[s:s + 16] @ comp.T for s in range(0, len(qs), 16)])
+            rows, inv = np.unique(b, axis=0, return_inverse=True)
+            sides.append((n, rows, inv.ravel()))
+        (na, ra, ia), (nb, rb, ib) = sorted(sides, key=lambda side: len(side[1]))
+        for a in range(0, len(ra), 16):
+            da = _plane_dist(na, ra[a:a + 16])
+            ks = np.flatnonzero((ia >= a) & (ia < a + 16))
+            need, pos = np.unique(ib[ks], return_inverse=True)
+            for c in range(0, len(need), 16):
+                db = _plane_dist(nb, rb[need[c:c + 16]])
+                for k, j in zip(ks, pos):
+                    if c <= j < c + 16:
+                        out[k] = np.minimum(da[ia[k] - a], db[j - c]).max()
         return out
 
     def pair_lattice(self, x: np.ndarray, r: float, q: np.ndarray,
@@ -306,7 +337,9 @@ def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
     # candidates in that order and skip any that cannot win.  The skip pays
     # for the batch, since lowers[k] >= best_d spares a candidate its lattice
     # queries: fed through ``beats`` in grid order, all 81 were evaluated and
-    # one scan_pinch pass took 94.1 s against 6.9 s (2 cores, one run each)
+    # one scan_pinch pass took 94.1 s against 6.9 s (2 cores, one run each).
+    # The batch computes each distinct translate of each plane once, with
+    # the bits of one ``pair_dist`` per candidate (see ``sup_to_pair``)
     lowers = ctx.geom.sup_to_pair(ctx.n1, ctx.n2, grid) / r
     best_q, best_d = None, np.inf
     for k in np.argsort(lowers, kind="stable"):

@@ -2,10 +2,9 @@
 
 A mesh is vertices (n, 4), faces (m, 3) of vertex indices, and a per-vertex
 ``fixed`` flag marking boundary vertices that optimizers must not move.
-Face areas use the wedge-product norm; projected area with multiplicity
-integrates |wedge_2 p (tangent)| over faces, while ``shadow_area``
-rasterizes the projected triangles and counts covered cells once, so it
-measures the image set (multiplicity collapsed).  The rasterization error
+Face areas use the wedge-product norm; ``shadow_area`` rasterizes the
+projected triangles and counts covered cells once, so it measures the
+image set (multiplicity collapsed).  The rasterization error
 is O(perimeter / resolution) and always reported conservatively by
 callers.  ``projection_inequality_report`` is the one place that computes
 the parts of the shadow inequality shadow1 + shadow2 <= lambda * area (the
@@ -113,14 +112,6 @@ def face_tangents(mesh: TriMesh4) -> np.ndarray:
     n = exterior.norm(w)
     keep = n > 1e-13
     return w[keep] / n[keep, None]
-
-
-def projected_area_with_multiplicity(mesh: TriMesh4, plane: Plane) -> float:
-    """Integral of |wedge_2 p (tangent)| over the mesh, counting overlaps."""
-    if not len(mesh.faces):
-        return 0.0
-    w = _edge_wedges(mesh)
-    return float(0.5 * np.sum(np.abs(w @ plane.bivector)))
 
 
 def shadow_area(mesh: TriMesh4, plane: Plane, resolution: int = 256) -> float:

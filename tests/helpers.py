@@ -15,7 +15,8 @@ never forms the self-dual split of the closed-form supremum; the SVD oracle
 takes the same supremum as the larger operator norm of A1 +/- A2.
 
 The rest are reference implementations that production code no longer
-needs: the induced map of a 4x4 linear map on 2-vectors and the
+needs: the projected area with multiplicity, which the rasterized shadow
+never exceeds, the induced map of a 4x4 linear map on 2-vectors and the
 projection sum it gives, plane constructors and equality, the angle
 threshold, and the bi-cylinder clip with the two-sided relative distance
 between point samples.
@@ -141,6 +142,15 @@ def brute_force_critical_scale(e: SetSample, planes, eps: float, floor: float,
         n += 1
 
 
+def projected_area_with_multiplicity(mesh: TriMesh4, plane: Plane) -> float:
+    """Integral of |wedge_2 p (tangent)| over the mesh, counting overlaps."""
+    if not len(mesh.faces):
+        return 0.0
+    v = mesh.vertices[mesh.faces]
+    w = exterior.wedge(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return float(0.5 * np.sum(np.abs(w @ plane.bivector)))
+
+
 def shadow_bitmap_oracle(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
                          cell: float) -> np.ndarray:
     """Per-triangle rasterizer: same grid and cell rule as ``surfaces._shadow_bitmap``."""
@@ -205,6 +215,20 @@ def window_mask_oracle(geom, x: np.ndarray, r: float) -> np.ndarray:
     return m
 
 
+def pair_sup_oracle(geom, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Sup over points of the distance to the pair translated by each q.
+
+    Every q gets its own two hypot passes, ``geom.pair_dist`` over 16 qs at
+    a time, with no sharing of repeated translate rows.
+    """
+    qs = np.atleast_2d(qs)
+    out = np.zeros(len(qs))
+    if len(n1):
+        for s in range(0, len(qs), 16):
+            out[s:s + 16] = geom.pair_dist(n1, n2, qs[s:s + 16]).max(axis=1)
+    return out
+
+
 def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
                             tol: float = 1e-6):
     """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
@@ -212,11 +236,13 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     Every candidate gets its full set-side sup and a full lattice query
     against the whole-sample kd-tree ``geom.tree``, the window masks run
     over the whole sample, and every projection is taken here from
-    ``e.points``.  Only the complement bases ``geom.comp``, the pair
-    kernels ``sup_to_pair`` and ``pair_lattice`` and that tree (checked
-    against brute force in ``test_lattice_nearest_matches_brute_force``)
-    are shared with the production search.  ``carried`` is the exact
-    window value at q = x.
+    ``e.points``.  Every set-side sup, the coarse grid's lower bounds
+    among them, is ``pair_dist(n1, n2, qs).max(axis=1)`` in 16-row
+    batches, never the production ``sup_to_pair``.  Only the complement
+    bases ``geom.comp``, the pair kernels ``pair_dist`` and
+    ``pair_lattice`` and that tree (checked against brute force in
+    ``test_lattice_nearest_matches_brute_force``) are shared with the
+    production search.  ``carried`` is the exact window value at q = x.
     """
     from planes4.scanner import (_GRID_N, _MAX_ROUNDS, _PLANE_POINTS, _SEARCH_POINT_CAP,
                                  _PairGeometry)
@@ -241,12 +267,12 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
         return float(geom.tree.query(lat)[0].max())
 
     def value(q):
-        return max(float(geom.sup_to_pair(n1, n2, q)[0]), lattice_sup(q)) / r
+        return max(float(pair_sup_oracle(geom, n1, n2, q)[0]), lattice_sup(q)) / r
 
     def exact(q):
         d = 0.0
         if mask.any():
-            d = float(geom.sup_to_pair(*normal(mask), q)[0])
+            d = float(pair_sup_oracle(geom, *normal(mask), q)[0])
         return max(d, lattice_sup(q)) / r
 
     if not mask.any():
@@ -254,7 +280,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     half = r / 4.0
     ax = np.linspace(-half, half, _GRID_N)
     grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
-    lowers = geom.sup_to_pair(n1, n2, grid) / r
+    lowers = pair_sup_oracle(geom, n1, n2, grid) / r
     best_q, best_d = None, np.inf
     for k in np.argsort(lowers, kind="stable"):
         if lowers[k] >= best_d:
@@ -271,7 +297,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
                 q[coord] += sign * step
                 if np.max(np.abs(q - x)) > half + 1e-15:
                     continue
-                if float(geom.sup_to_pair(n1, n2, q)[0]) / r >= best_d:
+                if float(pair_sup_oracle(geom, n1, n2, q)[0]) / r >= best_d:
                     continue
                 d = value(q)
                 if d < best_d - 1e-15:

@@ -150,6 +150,21 @@ def test_manifest_lists_every_output_file(tmp_path, argv):
     assert sorted(outputs) == sorted(p.name for p in out.iterdir())
 
 
+def test_failed_write_leaves_no_manifest_and_no_temporaries(tmp_path, capsys, monkeypatch):
+    # the mesh write breaks after the CSV and the record are written: the run
+    # must rename none of them into place and remove every temporary
+    def breaks(path, mesh):
+        Path(path).write_text("MESH4 3\n")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("planes4.cli.write_mesh4", breaks)
+    out = tmp_path / "f"
+    rc = run_command(["plateau", "--alpha1", "1.5", "--alpha2", "1.5", "--pinch", "0.2",
+                      "--segments", "32", "--iters", "1", "--write-mesh", "--out", str(out)])
+    assert rc == 3 and "no space left on device" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("body, line", [
     ("0 0 0 0\n1 0 0\n0 1 0 0\n0 1 2\n", 3),       # short vertex line
     ("0 0 0 0\n1 0 0 0\n0 1 zero 0\n0 1 2\n", 4),  # non-numeric token

@@ -10,8 +10,9 @@ from planes4 import scanner as sc
 from planes4.errors import ConfigError
 from planes4.plateau import build_pinched_competitor, build_union_mesh
 
-from helpers import (bicylinder_clip, brute_force_critical_scale, relative_distance,
-                     search_translate_oracle, window_mask_oracle)
+from helpers import (bicylinder_clip, brute_force_critical_scale, pair_sup_oracle,
+                     random_rotation, relative_distance, search_translate_oracle,
+                     window_mask_oracle)
 
 PLANES = (gr.P01, gr.P02)
 
@@ -265,6 +266,32 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
         # an empty set side leaves the lattice side of the window value
         assert ctx.value(q, np.empty((0, 2)), np.empty((0, 2))) * r == pytest.approx(
             float(brute.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("pair,distinct", [("orthogonal", (9, 9)), ("canonical", (9, 81)),
+                                           ("rotated", (81, 81))])
+def test_sup_to_pair_matches_pair_dist_bitwise(pair, distinct):
+    # the coarse grid's lower bound shares the hypot pass of each distinct
+    # translate row; it must give the bits of one pair_dist per q
+    rot = random_rotation(np.random.default_rng(7)) if pair == "rotated" else np.eye(4)
+    planes = PLANES if pair == "orthogonal" else gr.canonical_pair(1.3, 1.45)
+    planes = tuple(gr.Plane(p.basis @ rot.T) for p in planes)
+    e = sc.SetSample(oracle_sample("pinched").points @ rot.T, 1.2e-2)
+    geom = sc._PairGeometry(e, *planes)
+    x, r = rot @ np.array([0.03, -0.02, 0.01, 0.04]), 0.5
+    ctx = sc._WindowCtx(geom, x, r)
+    assert len(ctx.n1) > 1000
+    ax = np.linspace(-r / 4.0, r / 4.0, sc._GRID_N)
+    grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+    assert tuple(len(np.unique(grid @ c.T, axis=0)) for c in geom.comp) == distinct
+    rng = np.random.default_rng(8)
+    repeated = grid[rng.integers(0, len(grid), 40)]
+    near = np.vstack([grid, grid * (1.0 + 1e-9)])    # distinct rows 1e-9 apart
+    for qs in (grid, grid[5], grid[::-1], repeated, near):
+        got = geom.sup_to_pair(ctx.n1, ctx.n2, qs)
+        assert np.array_equal(got, pair_sup_oracle(geom, ctx.n1, ctx.n2, qs)), pair
+    empty = np.empty((0, 2))
+    assert np.array_equal(geom.sup_to_pair(empty, empty, grid), np.zeros(len(grid)))
 
 
 # ----------------------------------------------------------- epsilon process

@@ -11,7 +11,8 @@ from planes4 import surfaces as sf
 from planes4.bounds import sup_projection_sum
 from planes4.errors import ConfigError
 
-from helpers import fan_disk, random_rotation, shadow_bitmap_oracle
+from helpers import (fan_disk, projected_area_with_multiplicity, random_rotation,
+                     shadow_bitmap_oracle)
 
 
 def single_triangle(a, b, c, fixed=None):
@@ -95,13 +96,13 @@ def test_face_tangents_are_simple():
 
 def test_projected_area_identity_plane():
     m = fan_disk(128, gr.P01)
-    assert sf.projected_area_with_multiplicity(m, gr.P01) == pytest.approx(
+    assert projected_area_with_multiplicity(m, gr.P01) == pytest.approx(
         sf.area(m), rel=1e-12)
 
 
 def test_projected_area_orthogonal_plane_vanishes():
     m = fan_disk(128, gr.P01)
-    assert sf.projected_area_with_multiplicity(m, gr.P02) <= 1e-12
+    assert projected_area_with_multiplicity(m, gr.P02) <= 1e-12
 
 
 def test_projected_area_cos_factor():
@@ -109,7 +110,7 @@ def test_projected_area_cos_factor():
     p1, p2 = gr.canonical_pair(a1, a2)
     m = fan_disk(128, p2)
     want = np.cos(a1) * np.cos(a2) * sf.area(m)
-    assert sf.projected_area_with_multiplicity(m, p1) == pytest.approx(want, rel=1e-12)
+    assert projected_area_with_multiplicity(m, p1) == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------------- shadow
@@ -127,7 +128,7 @@ def test_shadow_collapses_multiplicity():
     verts = np.vstack([m1.vertices, m1.vertices])
     faces = np.vstack([m1.faces, m1.faces + len(m1.vertices)])
     m = sf.TriMesh4(verts, faces, np.concatenate([m1.fixed, m1.fixed]))
-    doubled = sf.projected_area_with_multiplicity(m, gr.P01)
+    doubled = projected_area_with_multiplicity(m, gr.P01)
     shadow = sf.shadow_area(m, gr.P01, 256)
     assert doubled == pytest.approx(2.0 * sf.area(m1), rel=1e-12)
     assert abs(shadow - np.pi) <= 2e-2
@@ -142,7 +143,7 @@ def test_shadow_never_exceeds_multiplicity_projection():
         m = sf.TriMesh4(m0.vertices @ rot.T, m0.faces, m0.fixed)
         for plane in (gr.P01, gr.P02):
             sh = sf.shadow_area(m, plane, res)
-            pm = sf.projected_area_with_multiplicity(m, plane)
+            pm = projected_area_with_multiplicity(m, plane)
             assert sh <= pm + 8.0 / res
 
 
@@ -291,8 +292,8 @@ def test_projection_report_orthogonal_disks():
     rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
     assert rep.lambda_used == pytest.approx(1.0, abs=1e-9)
     assert abs(_slack(rep, m)) <= 8.0 / 256
-    assert rep.shadow_areas[0] <= sf.projected_area_with_multiplicity(m, gr.P01) + 8.0 / 256
-    assert rep.shadow_areas[1] <= sf.projected_area_with_multiplicity(m, gr.P02) + 8.0 / 256
+    assert rep.shadow_areas[0] <= projected_area_with_multiplicity(m, gr.P01) + 8.0 / 256
+    assert rep.shadow_areas[1] <= projected_area_with_multiplicity(m, gr.P02) + 8.0 / 256
 
 
 def test_projection_report_graph_mesh_nonnegative_slack():
