@@ -23,9 +23,10 @@ so runs reproduce bit-for-bit across platforms and ports.  The env var
 PLANES4_THREADS caps sweep parallelism and kd-tree query threads.
 
 Exit codes: 0 success, 1 configuration error (among them a ``scan
---density`` whose mesh sample would exceed 2^24 points), 2 numerical
-failure (``NumericalError`` or a numpy ``LinAlgError``), 3 internal error
-(any other exception, a bug; its traceback goes to stderr).
+--density`` whose mesh sample would exceed 2^24 points, and an output
+file that cannot be written), 2 numerical failure (``NumericalError`` or
+a numpy ``LinAlgError``), 3 internal error (any other exception, a bug;
+its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def _write_files(out: Path, files: dict) -> None:
     writes the file at a given path.  Each file is written to its name
     plus ``.part`` (so no ``*.csv`` or ``*.mesh4`` glob matches it), and
     only when every write has returned is each renamed into place.  No
-    ``.part`` file is left behind, whether a write raises or not.
+    ``.part`` file is left behind, whether a write raises or not.  An
+    ``OSError`` (a full disk, a read-only ``--out``) is a configuration
+    error naming the file.
     """
     parts = {name: out / f"{name}.part" for name in files}
     try:
@@ -124,6 +127,8 @@ def _write_files(out: Path, files: dict) -> None:
                 content(parts[name])
         for name, part in parts.items():
             os.replace(part, out / name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out / name}: {exc}") from exc
     finally:
         for part in parts.values():
             part.unlink(missing_ok=True)
@@ -162,25 +167,21 @@ def _cmd_bounds(args) -> dict:
 def _cmd_wirtinger(args) -> dict:
     gen = SplitMix64(args.seed)
     header = ["kind", "index", "alpha", "projection_sum", "member"]
-    rows = []
-    for i in range(args.samples):
-        el = grassmann.random_xi_element(gen)
-        xi = grassmann.xi_sample(el)
-        s = grassmann.projection_sum_standard(xi)
-        rows.append(["xi", i, el.alpha, s, grassmann.xi_membership(xi, args.tol)])
-    for i in range(args.samples):
-        x = gen.unit_vector(4)
-        y = gen.unit_vector(4)
-        w = exterior.wedge(x, y)
-        n = exterior.norm(w)
-        if n < 1e-6:
-            continue
-        xi = w / n
-        s = grassmann.projection_sum_standard(xi)
-        rows.append(["simple", i, np.nan, s, grassmann.xi_membership(xi, args.tol)])
-    members = sum(r[4] for r in rows if r[0] == "xi")
-    record = {"samples": args.samples, "tol": args.tol,
-              "xi_members": int(members)}
+    el = grassmann.random_xi_element(gen, args.samples)
+    xi = grassmann.xi_sample(el)
+    member = grassmann.xi_membership(xi, args.tol)
+    rows = [["xi", i, a, s, m] for i, (a, s, m) in enumerate(
+        zip(el.alpha, grassmann.projection_sum_standard(xi), member))]
+    # random simple 2-vectors: wedges of unit-vector pairs drawn x, y, x, y, ...;
+    # a pair too close to parallel to normalise is dropped with its index
+    xy = gen.unit_vector(4, 2 * args.samples)
+    w = exterior.wedge(xy[0::2], xy[1::2])
+    n = exterior.norm(w)
+    keep = np.flatnonzero(n >= 1e-6)
+    xi = w[keep] / n[keep, None]
+    rows += [["simple", i, np.nan, s, m] for i, s, m in zip(
+        keep, grassmann.projection_sum_standard(xi), grassmann.xi_membership(xi, args.tol))]
+    record = {"samples": args.samples, "tol": args.tol, "xi_members": int(member.sum())}
     return {"header": header, "rows": rows, "record": record}
 
 

@@ -46,12 +46,6 @@ class Plane:
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "bivector", exterior.wedge(b[0], b[1]))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-10) -> bool:
-        """True when v lies in the plane (its projection is itself)."""
-        v = np.asarray(v, dtype=float)
-        residual = self.basis.T @ (self.basis @ v) - v
-        return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(v)))
-
 
 #: the standard orthogonal pair: P01 = span(e1, e2), P02 = span(e3, e4)
 P01 = Plane(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
@@ -91,57 +85,60 @@ def canonical_pair(alpha1: float, alpha2: float) -> tuple[Plane, Plane]:
 
 @dataclass(frozen=True)
 class XiElement:
-    """Parameters of an equality-set element: angle plus orthonormal frames.
+    """Parameters of equality-set elements: angles plus orthonormal frames.
 
     v1, v2 must be an orthonormal pair in P01 and u1, u2 one in P02; every
     such choice wedges to a unit simple 2-vector with projection sum 1.
+    A scalar alpha with (4,) vectors is one element; an (n,) alpha with
+    (n, 4) vectors is n of them, and a bad row rejects the whole batch.
     """
 
-    alpha: float
+    alpha: float | np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= np.pi / 2 + 1e-15):
+        if not np.all((0.0 <= self.alpha) & (self.alpha <= np.pi / 2 + 1e-15)):
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
-        for name, vec, plane in (
-            ("v1", self.v1, P01), ("v2", self.v2, P01),
-            ("u1", self.u1, P02), ("u2", self.u2, P02),
-        ):
-            v = np.asarray(vec, dtype=float)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        for name, plane in (("v1", P01), ("v2", P01), ("u1", P02), ("u2", P02)):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
                 raise ValueError(f"{name} is not a unit vector")
-            if not plane.contains(v):
+            if np.any(np.linalg.norm(v - (v @ plane.basis.T) @ plane.basis, axis=-1) > 1e-10):
                 raise ValueError(f"{name} does not lie in its plane")
             object.__setattr__(self, name, v)
-        if abs(float(np.dot(self.v1, self.v2))) > 1e-10:
-            raise ValueError("v1, v2 are not orthogonal")
-        if abs(float(np.dot(self.u1, self.u2))) > 1e-10:
-            raise ValueError("u1, u2 are not orthogonal")
+        for a, b, what in ((self.v1, self.v2, "v1, v2"), (self.u1, self.u2, "u1, u2")):
+            if np.any(np.abs(np.sum(a * b, axis=-1)) > 1e-10):
+                raise ValueError(f"{what} are not orthogonal")
 
 
 def xi_sample(e: XiElement) -> np.ndarray:
-    """Unit simple 2-vector wedge(x, y) with x, y mixing the frames by cos/sin alpha."""
-    c, s = np.cos(e.alpha), np.sin(e.alpha)
+    """Unit simple 2-vectors wedge(x, y) with x, y mixing the frames by cos/sin alpha."""
+    c, s = np.cos(e.alpha)[..., None], np.sin(e.alpha)[..., None]
     x = c * e.v1 + s * e.u1
     y = c * e.v2 + s * e.u2
     return exterior.wedge(x, y)
 
 
-def random_xi_element(rng: SplitMix64) -> XiElement:
-    """Draw a uniform-ish equality-set element: random angle and random frames."""
-    alpha = rng.uniform() * np.pi / 2
-    t = rng.uniform() * 2 * np.pi
-    sv = 1.0 if rng.uniform() < 0.5 else -1.0
-    v1 = np.array([np.cos(t), np.sin(t), 0.0, 0.0])
-    v2 = sv * np.array([-np.sin(t), np.cos(t), 0.0, 0.0])
-    w = rng.uniform() * 2 * np.pi
-    su = 1.0 if rng.uniform() < 0.5 else -1.0
-    u1 = np.array([0.0, 0.0, np.cos(w), np.sin(w)])
-    u2 = su * np.array([0.0, 0.0, -np.sin(w), np.cos(w)])
-    return XiElement(alpha, v1, v2, u1, u2)
+def random_xi_element(rng: SplitMix64, size: int | None = None) -> XiElement:
+    """Draw equality-set elements (one, or a batch of ``size``): random angles and frames.
+
+    Each element takes five uniforms in order: the mixing angle, the first
+    frame angle, its orientation sign, the second frame angle, its sign.
+    """
+    u = rng.uniform(5 * (1 if size is None else size)).reshape(-1, 5)
+    alpha, t, w = u[:, 0] * np.pi / 2, u[:, 1] * 2 * np.pi, u[:, 3] * 2 * np.pi
+    sv, su = np.where(u[:, [2, 4]] < 0.5, 1.0, -1.0).T[..., None]
+    z = np.zeros_like(t)
+    frames = (np.stack([np.cos(t), np.sin(t), z, z], axis=-1),
+              sv * np.stack([-np.sin(t), np.cos(t), z, z], axis=-1),
+              np.stack([z, z, np.cos(w), np.sin(w)], axis=-1),
+              su * np.stack([z, z, -np.sin(w), np.cos(w)], axis=-1))
+    if size is None:
+        return XiElement(float(alpha[0]), *(f[0] for f in frames))
+    return XiElement(alpha, *frames)
 
 
 #: smallest membership tolerance: the unit and simplicity checks carry
@@ -156,20 +153,23 @@ def projection_sum_standard(xi: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def xi_membership(xi: np.ndarray, tol: float = 1e-8) -> bool:
+def xi_membership(xi: np.ndarray, tol: float = 1e-8) -> bool | np.ndarray:
     """Equality-set membership: projection sum onto the standard pair >= 1 - tol.
 
-    The input must be a unit simple 2-vector within tol; anything else is
-    rejected rather than silently classified.  A tolerance below ``MIN_TOL``
-    is a configuration error: a unit wedge's norm is off 1 by a few ulps,
-    so such a tolerance would reject every input.
+    The input must be a unit simple 2-vector within tol, or a stack of
+    them (one result per row); anything else is rejected rather than
+    silently classified, and one bad row rejects the stack.  A tolerance
+    below ``MIN_TOL`` is a configuration error: a unit wedge's norm is
+    off 1 by a few ulps, so such a tolerance would reject every input.
     """
     if not tol >= MIN_TOL:
         raise ConfigError(f"membership tolerance must be at least {MIN_TOL:g}, got {tol}")
     xi = np.asarray(xi, dtype=float)
-    n = exterior.norm(xi)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"2-vector is not unit within {tol}: norm {n}")
-    if not exterior.is_simple(xi, tol):
+    n = np.asarray(exterior.norm(xi))
+    off = np.abs(n - 1.0) > tol
+    if np.any(off):
+        raise ValueError(f"2-vector is not unit within {tol}: norm {n[off][0]}")
+    if not np.all(exterior.is_simple(xi, tol)):
         raise ValueError("2-vector is not simple within tolerance")
-    return bool(projection_sum_standard(xi) >= 1.0 - tol)
+    out = np.asarray(projection_sum_standard(xi)) >= 1.0 - tol
+    return bool(out) if out.ndim == 0 else out

@@ -14,6 +14,11 @@ maximizes over a sphere grid of first vectors, exactly in each fiber, and
 never forms the self-dual split of the closed-form supremum; the SVD oracle
 takes the same supremum as the larger operator norm of A1 +/- A2.
 
+The sequential SplitMix64 is the per-draw Python-int generator that the
+numpy block draws of ``planes4.rng`` must reproduce bit for bit, and the
+wirtinger oracle is the per-sample loop (one element, one wedge and one
+membership test per row) that the batch ``wirtinger`` command replaced.
+
 The rest are reference implementations that production code no longer
 needs: the projected area with multiplicity, which the rasterized shadow
 never exceeds, the induced map of a 4x4 linear map on 2-vectors and the
@@ -26,8 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
+import math
+
 from planes4 import exterior
 from planes4.grassmann import Plane
+from planes4.rng import SplitMix64
 from planes4.scanner import SetSample, _in_bicylinder
 from planes4.surfaces import TriMesh4
 
@@ -490,3 +498,98 @@ def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,
     if len(fc):
         d = max(d, float(cKDTree(e.points).query(fc)[0].max()))
     return d / r
+
+
+# ------------------------------------------------- random draws, per sample
+
+MASK64 = (1 << 64) - 1
+
+
+class SequentialSplitMix64:
+    """SplitMix64 one draw at a time in Python ints, as the manifest contract states it.
+
+    Draws at the stream positions in ``forced`` (0-based) read 2^64 - 1,
+    the uniform 1.0, so a normal that takes one as u1 is exactly 0.
+    """
+
+    def __init__(self, seed: int, forced=()):
+        self.state = seed & MASK64
+        self.forced = set(forced)
+        self.drawn = 0
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        self.drawn += 1
+        return MASK64 if self.drawn - 1 in self.forced else z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return self.next_u64() / 2.0**64
+
+    def normal(self) -> float:
+        u1 = self.uniform()
+        u2 = self.uniform()
+        if u1 <= 0.0:
+            u1 = 2.0**-64
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def unit_vector(self, dim: int) -> np.ndarray:
+        while True:
+            v = np.array([self.normal() for _ in range(dim)])
+            r = float(np.linalg.norm(v))
+            if r > 1e-12:
+                return v / r
+
+
+class ForcedSplitMix64(SplitMix64):
+    """The production generator with the draws at ``forced`` set to 2^64 - 1."""
+
+    def __init__(self, seed: int, forced=()):
+        super().__init__(seed)
+        self.forced = np.array(sorted(forced), dtype=np.int64)
+        self.drawn = 0
+
+    def next_u64(self, size=None):
+        z = np.atleast_1d(np.asarray(super().next_u64(size), dtype=np.uint64))
+        z[np.isin(np.arange(self.drawn, self.drawn + len(z)), self.forced)] = MASK64
+        self.drawn += len(z)
+        return int(z[0]) if size is None else z
+
+
+def _membership_oracle(xi: np.ndarray, tol: float) -> bool:
+    n = float(np.sqrt(np.sum(xi * xi)))
+    if abs(n - 1.0) > tol:
+        raise ValueError(f"2-vector is not unit within {tol}: norm {n}")
+    if abs(xi[0] * xi[5] - xi[1] * xi[4] + xi[2] * xi[3]) > tol * float(np.sum(xi * xi)):
+        raise ValueError("2-vector is not simple within tolerance")
+    return bool(abs(xi[0]) + abs(xi[5]) >= 1.0 - tol)
+
+
+def wirtinger_rows_oracle(gen: SequentialSplitMix64, samples: int, tol: float) -> list[list]:
+    """The ``wirtinger`` rows by the per-sample loop, one draw at a time."""
+    rows = []
+    for i in range(samples):
+        alpha = gen.uniform() * np.pi / 2
+        t = gen.uniform() * 2 * np.pi
+        sv = 1.0 if gen.uniform() < 0.5 else -1.0
+        v1 = np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+        v2 = sv * np.array([-np.sin(t), np.cos(t), 0.0, 0.0])
+        w = gen.uniform() * 2 * np.pi
+        su = 1.0 if gen.uniform() < 0.5 else -1.0
+        u1 = np.array([0.0, 0.0, np.cos(w), np.sin(w)])
+        u2 = su * np.array([0.0, 0.0, -np.sin(w), np.cos(w)])
+        c, s = np.cos(alpha), np.sin(alpha)
+        xi = exterior.wedge(c * v1 + s * u1, c * v2 + s * u2)
+        rows.append(["xi", i, alpha, abs(xi[0]) + abs(xi[5]), _membership_oracle(xi, tol)])
+    for i in range(samples):
+        x = gen.unit_vector(4)
+        y = gen.unit_vector(4)
+        w = exterior.wedge(x, y)
+        n = float(np.sqrt(np.sum(w * w)))
+        if n < 1e-6:
+            continue
+        xi = w / n
+        rows.append(["simple", i, np.nan, abs(xi[0]) + abs(xi[5]), _membership_oracle(xi, tol)])
+    return rows

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import os
 import shutil
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import planes4
-from planes4.cli import main, run_command
+from planes4.cli import _fmt, main, run_command
 from planes4.errors import NumericalError
 from planes4.plateau import build_union_mesh
 from planes4.surfaces import write_mesh4
+
+from helpers import ForcedSplitMix64, SequentialSplitMix64, wirtinger_rows_oracle
 
 
 def read_csv(path):
@@ -75,6 +78,44 @@ def test_wirtinger_members(tmp_path):
     xi_rows = [r for r in rows if r[0] == "xi"]
     assert len(xi_rows) == 50
     assert all(r[4] == "1" for r in xi_rows)
+
+
+@pytest.mark.parametrize("seed, samples, digest", [
+    (1, 2000, "0027da572c03a0ce"), (1009, 2000, "813c5c61f6feda79"), (11, 100, "644fbd6584432089"),
+])
+def test_wirtinger_csv_bytes_are_pinned(tmp_path, seed, samples, digest):
+    out = tmp_path / "w"
+    assert run_command(["wirtinger", "--samples", str(samples), "--seed", str(seed),
+                        "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()[:16] == digest
+
+
+def _wirtinger_rows(out, samples, tol):
+    assert run_command(["wirtinger", "--samples", str(samples), "--seed", "7",
+                        "--tol", str(tol), "--out", str(out)]) == 0
+    return read_csv(out / "results.csv")[1], (out / "record.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("samples", [0, 1, 50])
+@pytest.mark.parametrize("tol", [1e-8, 0.25])
+def test_wirtinger_batch_rows_equal_per_sample_oracle(tmp_path, samples, tol):
+    rows, record = _wirtinger_rows(tmp_path / "w", samples, tol)
+    want = wirtinger_rows_oracle(SequentialSplitMix64(7), samples, tol)
+    assert rows == [[_fmt(v) for v in row] for row in want]
+    members = sum(r[4] for r in want if r[0] == "xi")
+    assert record[2:] == [f"samples {samples}", f"tol {_fmt(tol)}", f"xi_members {members}"]
+
+
+def test_wirtinger_forced_redraw_follows_the_sequential_rule(tmp_path, monkeypatch):
+    # all four u1 draws of the 6th and 11th unit-vector groups read 1.0 (an
+    # all-zero group): only that group is redrawn, and the pairs stay x, y
+    forced = [250 + 8 * g + 2 * k for g in (5, 10) for k in range(4)]
+    monkeypatch.setattr("planes4.cli.SplitMix64", lambda seed: ForcedSplitMix64(seed, forced))
+    rows, _ = _wirtinger_rows(tmp_path / "w", 50, 0.25)
+    want = wirtinger_rows_oracle(SequentialSplitMix64(7, forced), 50, 0.25)
+    assert rows == [[_fmt(v) for v in row] for row in want]
+    unforced = wirtinger_rows_oracle(SequentialSplitMix64(7), 50, 0.25)
+    assert want[:52] == unforced[:52] and want[52][3] != unforced[52][3]
 
 
 def test_scan_flat_mesh_hits_floor(tmp_path):
@@ -161,7 +202,10 @@ def test_failed_write_leaves_no_manifest_and_no_temporaries(tmp_path, capsys, mo
     out = tmp_path / "f"
     rc = run_command(["plateau", "--alpha1", "1.5", "--alpha2", "1.5", "--pinch", "0.2",
                       "--segments", "32", "--iters", "1", "--write-mesh", "--out", str(out)])
-    assert rc == 3 and "no space left on device" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 1 and "no space left on device" in err
+    assert f"configuration error: cannot write {out / 'final_0p2.mesh4'}: " in err
+    assert "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

@@ -142,6 +142,46 @@ def test_xi_element_rejects_bad_frames():
         gr.XiElement(0.3, e3, e4, e1, e2)          # frames in the wrong planes
 
 
+def test_batch_xi_element_rejects_one_bad_row():
+    el = gr.random_xi_element(SplitMix64(4), 20)
+    frames = {"v1": el.v1, "v2": el.v2, "u1": el.u1, "u2": el.u2}
+    bad_rows = {
+        "alpha": {"alpha": np.where(np.arange(20) == 7, 1.6, el.alpha)},
+        "unit": {"u2": el.u2 * np.where(np.arange(20) == 7, 2.0, 1.0)[:, None]},
+        "plane": {"v1": np.where(np.arange(20)[:, None] == 7, el.u1, el.v1)},
+        "orthogonal": {"v2": np.where(np.arange(20)[:, None] == 7, el.v1, el.v2)},
+    }
+    for what, change in bad_rows.items():
+        args = {"alpha": el.alpha, **frames, **change}
+        with pytest.raises(ValueError):
+            gr.XiElement(**args)
+        good = {k: v[:7] for k, v in args.items()}
+        assert gr.XiElement(**good).v1.shape == (7, 4), what
+
+
+def test_batch_draws_equal_per_element_draws():
+    batch = gr.random_xi_element(SplitMix64(8), 300)
+    one_by_one = SplitMix64(8)
+    for i in range(300):
+        el = gr.random_xi_element(one_by_one)
+        assert isinstance(el.alpha, float) and el.alpha == batch.alpha[i]
+        for name in ("v1", "v2", "u1", "u2"):
+            assert np.array_equal(getattr(el, name), getattr(batch, name)[i])
+        assert np.array_equal(gr.xi_sample(el), gr.xi_sample(batch)[i])
+    xis = gr.xi_sample(batch)
+    assert gr.xi_membership(xis).tolist() == [gr.xi_membership(xi) for xi in xis]
+
+
+def test_batch_membership_rejects_one_bad_row():
+    rng = np.random.default_rng(16)
+    xis = random_simple_units(rng, 50)
+    assert gr.xi_membership(xis, 1e-8).shape == (50,)
+    assert gr.xi_membership(xis[:0], 1e-8).shape == (0,)
+    for bad in (2.0 * gr.P01.bivector, (ex.E12 + ex.E34) / np.sqrt(2.0)):
+        with pytest.raises(ValueError):
+            gr.xi_membership(np.vstack([xis, bad]), 1e-8)
+
+
 def test_xi_membership_trivial_and_negative_cases():
     assert gr.xi_membership(gr.P01.bivector)
     e13 = ex.wedge(np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0]))
