@@ -50,12 +50,21 @@ from .rng import SplitMix64
 from .surfaces import write_mesh4
 
 
+_BOOL_TEXT = {False: "0", True: "1"}.__getitem__    # np.bool_ keys look up as bool
+_FLOAT_TEXT = "{:.17g}".format                      # numpy floats format as float(x)
+
+
+@functools.cache
+def _formatter(kind: type):
+    """The text of a value of type ``kind``: 1/0 for booleans, 17 significant
+    digits for floats, ``str`` for anything else."""
+    if issubclass(kind, (bool, np.bool_)):
+        return _BOOL_TEXT
+    return _FLOAT_TEXT if issubclass(kind, (float, np.floating)) else str
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+    return _formatter(type(x))(x)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +94,14 @@ def _manifest_text(command: str, config: dict, digest: str, started: float,
 
 
 def _csv_text(digest: str, header: list[str], rows: list[list]) -> str:
+    """The CSV text, each cell as ``_fmt`` writes it, formatted column by
+    column: a column whose cells share one formatter is mapped through it."""
+    cols = []
+    for col in zip(*rows):
+        kinds = {_formatter(t) for t in set(map(type, col))}
+        cols.append(list(map(kinds.pop() if len(kinds) == 1 else _fmt, col)))
     lines = [f"# manifest={digest}", ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += map(",".join, zip(*cols))
     return "\n".join(lines) + "\n"
 
 
@@ -260,6 +275,7 @@ def _cmd_scan(args) -> dict:
         "stopped": rep.stopped, "floor_hit": rep.floor_hit,
         "steps": len(rep.steps),
         "window_points": [s.window_points for s in rep.steps],
+        "lattice_points": [s.lattice_points for s in rep.steps],
         "candidates": [s.candidates for s in rep.steps],
         "rejected_early": [s.rejected_early for s in rep.steps],
     }

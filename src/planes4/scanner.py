@@ -62,6 +62,7 @@ class ScanStep:
     best_q: np.ndarray
     best_dist: float
     window_points: int           # sample points in D(center, scale)
+    lattice_points: int          # pair-lattice points in D(center, scale) at q = center
     candidates: int              # translates the search evaluated
     rejected_early: int          # of those, rejected before a full evaluation
 
@@ -210,33 +211,28 @@ class _PairGeometry:
                         out[k] = np.minimum(da[ia[k] - a], db[j - c]).max()
         return out
 
-    def pair_lattice(self, x: np.ndarray, r: float, q: np.ndarray,
-                     spacing: float) -> np.ndarray:
-        """Sample of (P1 + q) union (P2 + q) inside D(x, r)."""
-        pts = []
-        for plane in self.planes:
-            c = (x - q) @ plane.basis.T
-            m = int(np.ceil(r / spacing))
-            ax = np.arange(-m, m + 1) * spacing
-            g1, g2 = np.meshgrid(c[0] + ax, c[1] + ax, indexing="ij")
-            w2 = np.stack([g1.ravel(), g2.ravel()], axis=1)
-            y = q + w2 @ plane.basis
-            inplane = [y @ p.basis.T for p in self.planes]
-            pts.append(y[_in_bicylinder(*inplane, self.planes, x, r)])
-        return np.vstack(pts)
-
 
 class _WindowCtx:
-    """One scan window: its points, the search subsample and the window value.
+    """One scan window: its points, its pair lattice and the window value.
 
     ``idx`` holds the sample points inside D(x, r), cut by a mask over the
     whole sample, and ``n1``, ``n2`` the complement coordinates of the
     search subsample.  ``value`` is the one routine for the window value
     max(set-side sup, lattice sup) / r at a translate q: the search calls
     it with a bar to reject candidates early, ``exact_value`` calls it
-    with no bar on all the window's points.  The pair lattice has
-    ``_PLANE_POINTS`` points per window diameter.  ``candidates`` and
-    ``rejected_early`` count the search's evaluations in this window.
+    with no bar on all the window's points.  ``candidates`` and
+    ``rejected_early`` count the search's evaluations in this window, and
+    ``workers``, read once here, is the kd-tree query thread count.
+
+    The pair lattice is built once per window.  Its template is the disc
+    of offsets T = (a, b) * spacing, |T| <= r, with ``_PLANE_POINTS``
+    points per window diameter; plane i's lattice at q is T @ B_i
+    anchored at b_i(q) = q + ((x - q) @ B_i.T) @ B_i, the projection of x
+    onto P_i + q.  Cutting T to the disc is plane i's own bi-cylinder
+    test, so a candidate q only runs the other plane j's test, on
+    S_i = T @ B_i @ B_j.T, fixed per window, shifted by
+    (b_i(q) - x) @ B_j.T.  The points come in the order of the template's
+    rows, plane 1 first.
     """
 
     def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float):
@@ -247,9 +243,33 @@ class _WindowCtx:
         self.idx = geom.window_index(self.x, r)
         stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
         self.n1, self.n2 = self._normal(self.idx[::stride])
+        self.workers = thread_count()
         self.candidates = 0
         self.rejected_early = 0
-        self._probe = 0              # lattice index that rejected the last candidate
+        self._probe = (0, 0)         # plane and template row that rejected the last candidate
+        t = _disc_lattice(self.spacing, r)
+        p1, p2 = geom.planes
+        self._template = []
+        for bi, bj in ((p1.basis, p2.basis), (p2.basis, p1.basis)):
+            y = t @ bi
+            self._template.append((bi, bj, y, y @ bj.T))
+
+    def _anchor(self, q: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Plane i's lattice anchor b_i(q) and the shift (b_i(q) - x) @ B_j.T."""
+        bi, bj, _, _ = self._template[i]
+        base = q + ((self.x - q) @ bi.T) @ bi
+        return base, (base - self.x) @ bj.T
+
+    def _plane_lattice(self, q: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Plane i's lattice points at q and the mask of the template rows kept."""
+        base, o = self._anchor(q, i)
+        _, _, y, s = self._template[i]
+        keep = np.hypot(s[:, 0] + o[0], s[:, 1] + o[1]) <= self.r
+        return y.compress(keep, axis=0) + base, keep      # twice as fast as y[keep]
+
+    def lattice(self, q: np.ndarray) -> np.ndarray:
+        """Sample of (P1 + q) union (P2 + q) inside D(x, r), plane by plane."""
+        return np.vstack([self._plane_lattice(q, i)[0] for i in (0, 1)])
 
     def _normal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complement coordinates (m, 2) per plane of the sample points idx."""
@@ -263,25 +283,31 @@ class _WindowCtx:
 
         The value is max(set side, lattice side) / r, the set side taken
         over the points with complement coordinates n1, n2.  The lattice
-        side goes first, starting at the lattice index that rejected the
-        previous candidate, then the set side, both in blocks.  Partial
-        sups only grow and division by r is monotone, so a q that passes
-        every block gets the very value a full evaluation gives; with no
-        bar nothing is rejected.
+        side goes first, starting at the template point that rejected the
+        previous candidate if it is a lattice point at q (so most rejected
+        candidates never build their lattice), then plane by plane; the
+        set side follows, both in blocks.  Partial sups only grow and
+        division by r is monotone, so a q that passes every block gets
+        the very value a full evaluation gives; with no bar nothing is
+        rejected.
         """
         r = self.r
         m = 0.0
-        lat = self.geom.pair_lattice(self.x, r, q, self.spacing)
-        if len(lat):
-            p = min(self._probe, len(lat) - 1)
-            blocks = [(p, p + 1)]
-            blocks += [(a, a + _LATTICE_CHUNK) for a in range(0, len(lat), _LATTICE_CHUNK)]
-            for a, b in blocks:
-                d = self.geom.tree.query(lat[a:b], workers=thread_count())[0]
+        i, j = self._probe
+        base, o = self._anchor(q, i)
+        _, _, y, s = self._template[i]
+        if np.hypot(s[j, 0] + o[0], s[j, 1] + o[1]) <= r:
+            m = float(self.geom.tree.query(y[j] + base, workers=self.workers)[0])
+            if m / r >= bar:
+                return None
+        for i in (0, 1):
+            lat, keep = self._plane_lattice(q, i)
+            for a in range(0, len(lat), _LATTICE_CHUNK):
+                d = self.geom.tree.query(lat[a:a + _LATTICE_CHUNK], workers=self.workers)[0]
                 k = int(np.argmax(d))
                 m = max(m, float(d[k]))
                 if m / r >= bar:
-                    self._probe = a + k
+                    self._probe = (i, int(np.flatnonzero(keep)[a + k]))
                     return None
         q2 = q[None, :]
         for a in range(0, len(n1), _SET_CHUNK):
@@ -313,8 +339,10 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     candidates are visited in stable ascending order of their set-side
     lower bound, then at most 24 rounds of coordinate descent, halving the
     step after a round that improves by less than ``tol``; a candidate
-    replaces the incumbent only when it is lower by more than 1e-15.  The
-    pair lattice has 48 points per window diameter.  Very large windows
+    replaces the incumbent only when it is lower by more than 1e-15.  Each
+    plane's lattice is anchored at x's projection onto P_i + q, with 48
+    points per window diameter; it is built once per window and only
+    translated per candidate (see ``_WindowCtx``).  Very large windows
     are subsampled for the search itself, but the returned distance is
     the exact full-window value at the returned translate.  The window is
     cut from the whole sample by one bi-cylinder mask, and its lattice
@@ -399,7 +427,8 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         carried = ctx.exact_value(q)
         best_q, best_d = _search_translate(ctx, 1e-4 * eps)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
-                              len(ctx.idx), ctx.candidates, ctx.rejected_early))
+                              len(ctx.idx), len(ctx.lattice(q)), ctx.candidates,
+                              ctx.rejected_early))
         if best_d > eps + 2.0 * e.resolution / s:
             shrink = 2.0 * s * (1.0 - 12.0 * eps)
             return ScanReport(

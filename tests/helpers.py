@@ -237,6 +237,30 @@ def pair_sup_oracle(geom, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.
     return out
 
 
+def pair_lattice_oracle(planes, x: np.ndarray, r: float, q: np.ndarray,
+                        spacing: float) -> np.ndarray:
+    """Sample of (P1 + q) union (P2 + q) inside D(x, r), built from scratch for q.
+
+    Per plane, the square grid of half-width ceil(r / spacing) steps about
+    x's projection onto P_i + q, cut by both bi-cylinder tests; the window
+    lattice ``_WindowCtx.lattice`` translates a template built once instead.
+    """
+    pts = []
+    b = [x @ p.basis.T for p in planes]
+    for plane in planes:
+        c = (x - q) @ plane.basis.T
+        m = int(np.ceil(r / spacing))
+        ax = np.arange(-m, m + 1) * spacing
+        g1, g2 = np.meshgrid(c[0] + ax, c[1] + ax, indexing="ij")
+        y = q + np.stack([g1.ravel(), g2.ravel()], axis=1) @ plane.basis
+        keep = np.ones(len(y), dtype=bool)
+        for p, bp in zip(planes, b):
+            a = y @ p.basis.T
+            keep &= np.hypot(a[:, 0] - bp[0], a[:, 1] - bp[1]) <= r
+        pts.append(y[keep])
+    return np.vstack(pts)
+
+
 def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
                             tol: float = 1e-6):
     """Exhaustive best-translate search in D(x, r): (best_q, best_d, carried).
@@ -247,17 +271,20 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     ``e.points``.  Every set-side sup, the coarse grid's lower bounds
     among them, is ``pair_dist(n1, n2, qs).max(axis=1)`` in 16-row
     batches, never the production ``sup_to_pair``.  Only the complement
-    bases ``geom.comp``, the pair kernels ``pair_dist`` and
-    ``pair_lattice`` and that tree (checked against brute force in
+    bases ``geom.comp``, the pair kernel ``pair_dist``, the window lattice
+    ``_WindowCtx.lattice`` (built once for D(x, r), anchored at x's
+    projection onto P_i + q, 48 points per window diameter; checked
+    against ``pair_lattice_oracle`` in
+    ``test_window_lattice_matches_per_candidate_oracle``) and that tree
+    (checked against brute force in
     ``test_lattice_nearest_matches_brute_force``) are shared with the
     production search.  ``carried`` is the exact window value at q = x.
     """
-    from planes4.scanner import (_GRID_N, _MAX_ROUNDS, _PLANE_POINTS, _SEARCH_POINT_CAP,
-                                 _PairGeometry)
+    from planes4.scanner import _GRID_N, _MAX_ROUNDS, _SEARCH_POINT_CAP, _PairGeometry, _WindowCtx
 
     x = np.asarray(x, dtype=float)
     geom = _PairGeometry(e, *planes)
-    spacing = 2.0 * r / _PLANE_POINTS
+    window = _WindowCtx(geom, x, r)
     mask = window_mask_oracle(geom, x, r)
     idx = np.flatnonzero(mask)
     sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
@@ -269,7 +296,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     n1, n2 = normal(sub)
 
     def lattice_sup(q):
-        lat = geom.pair_lattice(x, r, q, spacing)
+        lat = window.lattice(q)
         if not len(lat):
             return 0.0
         return float(geom.tree.query(lat)[0].max())

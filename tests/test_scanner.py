@@ -10,9 +10,9 @@ from planes4 import scanner as sc
 from planes4.errors import ConfigError
 from planes4.plateau import build_pinched_competitor, build_union_mesh
 
-from helpers import (bicylinder_clip, brute_force_critical_scale, pair_sup_oracle,
-                     random_rotation, relative_distance, search_translate_oracle,
-                     window_mask_oracle)
+from helpers import (bicylinder_clip, brute_force_critical_scale, pair_lattice_oracle,
+                     pair_sup_oracle, random_rotation, relative_distance,
+                     search_translate_oracle, window_mask_oracle)
 
 PLANES = (gr.P01, gr.P02)
 
@@ -255,7 +255,7 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
     ctx = sc._WindowCtx(geom, np.zeros(4), r)
     assert window_mask_oracle(geom, ctx.x, 2.0 * r).sum() == int(with_core_point)
     for q in (np.zeros(4), np.array([0.02, -0.01, 0.0, 0.01])):
-        lat = geom.pair_lattice(ctx.x, r, q, ctx.spacing)
+        lat = ctx.lattice(q)
         brute = np.concatenate([
             np.sqrt(((lat[a:a + 64, None] - e.points[None]) ** 2).sum(axis=2)).min(axis=1)
             for a in range(0, len(lat), 64)])
@@ -266,6 +266,94 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
         # an empty set side leaves the lattice side of the window value
         assert ctx.value(q, np.empty((0, 2)), np.empty((0, 2))) * r == pytest.approx(
             float(brute.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_reads_thread_count_once(threads, monkeypatch):
+    # every kd-tree query of a window runs on the count read when it was made,
+    # and the search returns the same bits at any count
+    e = oracle_sample("pinched")
+    x = np.array([0.03, -0.02, 0.01, 0.04])
+    want = sc.best_translation(e, PLANES, x, 0.25, tol=1e-3)
+    reads = []
+    monkeypatch.setattr(sc, "thread_count", lambda: reads.append(threads) or threads)
+    q, d = sc.best_translation(e, PLANES, x, 0.25, tol=1e-3)
+    assert reads == [threads]
+    assert np.array_equal(q, want[0]) and d == want[1]
+
+
+def _bicylinder_radius(planes, x, pts):
+    """max over the pair of the in-plane distance |P_i (y - x)|, per point."""
+    return np.max([np.linalg.norm((pts - x) @ p.basis.T, axis=1) for p in planes], axis=0)
+
+
+@pytest.mark.parametrize("pair", ["orthogonal", "canonical", "orthogonal_canonical", "random"])
+def test_window_lattice_matches_per_candidate_oracle(pair):
+    # the window lattice translates one template per plane; rebuilt from
+    # scratch for each q, the same points come in the same order, moved by
+    # round-off, and only points on the window's boundary may change sides
+    from scipy.spatial import cKDTree
+    if pair == "random":
+        rng = np.random.default_rng(11)
+        planes = tuple(gr.Plane(np.linalg.qr(rng.normal(size=(4, 2)))[0].T) for _ in range(2))
+    else:
+        planes = {"orthogonal": PLANES, "canonical": gr.canonical_pair(1.3, 1.45),
+                  "orthogonal_canonical": gr.canonical_pair(np.pi / 2, np.pi / 2)}[pair]
+    geom = sc._PairGeometry(sc.SetSample(np.zeros((1, 4)), 0.1), *planes)
+    x = np.array([0.03, -0.02, 0.01, 0.04])
+    rng = np.random.default_rng(12)
+    cut = 0              # template points the other plane's test removed
+    for r in (1 / 2, 1 / 8, 1 / 64):
+        ctx = sc._WindowCtx(geom, x, r)
+        template = len(sc._disc_lattice(ctx.spacing, r))
+        ax = np.linspace(-r / 4.0, r / 4.0, sc._GRID_N)
+        grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+        for q in np.vstack([grid, x + rng.uniform(-r / 4.0, r / 4.0, (50, 4))]):
+            got = ctx.lattice(q)
+            want = pair_lattice_oracle(planes, x, r, q, ctx.spacing)
+            cut += 2 * template - len(got)
+            assert np.all(_bicylinder_radius(planes, x, got) <= r * (1.0 + 1e-12))
+            # lattice points lie spacing = r / 24 apart, so a partner within
+            # 1e-9 r is the same point
+            has_g = cKDTree(want).query(got)[0] <= 1e-9 * r
+            has_w = cKDTree(got).query(want)[0] <= 1e-9 * r
+            moved = np.vstack([got[~has_g], want[~has_w]])
+            assert np.all(np.abs(_bicylinder_radius(planes, x, moved) - r) <= 1e-12 * r)
+            # the shared points, row for row
+            assert has_g.sum() == has_w.sum() > 0
+            assert np.abs(got[has_g] - want[has_w]).max() <= 1e-14 * r
+    # |o_i| <= |q - x| <= r / 2 in the box and |S_i| <= r cos(alpha1), 0.27 r at
+    # (1.3, 1.45), so only the random pair (cos(alpha1) = 0.998) loses points
+    assert (cut > 0) == (pair == "random")
+
+
+def test_window_value_probes_only_lattice_points():
+    # a pair far from orthogonal, translated by q and sampled inside the window
+    # only: a template point the other plane's test drops at q lies beyond
+    # the sample, so a probe that skipped that test would reject q wrongly
+    rng = np.random.default_rng(11)
+    planes = tuple(gr.Plane(np.linalg.qr(rng.normal(size=(4, 2)))[0].T) for _ in range(2))
+    x, r = np.zeros(4), 0.5
+    w = sc._disc_lattice(0.01, 2.0 * r)
+    far = 0
+    for q in x + rng.uniform(-r / 4.0, r / 4.0, (10, 4)):
+        pts = np.vstack([q + w @ p.basis for p in planes])
+        pts = pts[_bicylinder_radius(planes, x, pts) <= r]
+        geom = sc._PairGeometry(sc.SetSample(pts, 0.01), *planes)
+        ctx = sc._WindowCtx(geom, x, r)
+        exact = ctx.value(q, ctx.n1, ctx.n2)
+        for i in (0, 1):
+            base, o = ctx._anchor(q, i)
+            y, s = ctx._template[i][2:]
+            # the rows farthest outside the other plane's cylinder, and one kept row
+            out = np.hypot(s[:, 0] + o[0], s[:, 1] + o[1])
+            rows = [*np.argsort(-out)[:3], int(np.argmin(out))]
+            far += np.sum((out[rows] > r) & (geom.tree.query(y[rows] + base)[0] > exact * r))
+            for j in rows:
+                ctx._probe = (i, int(j))
+                assert ctx.value(q, ctx.n1, ctx.n2, exact + 1e-12) == exact
+                assert ctx.value(q, ctx.n1, ctx.n2, exact) is None
+    assert far > 0
 
 
 @pytest.mark.parametrize("pair,distinct", [("orthogonal", (9, 9)), ("canonical", (9, 81)),
