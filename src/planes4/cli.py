@@ -219,6 +219,9 @@ def _cmd_annulus(args) -> dict:
     header = ["mode", "r0", "delta", "eps", "value", "constant",
               "fd_value", "fd_rel_err"]
     r0 = args.r0
+    if args.fd_check and args.mode == "reflect":
+        raise ConfigError("--fd-check does not apply to reflect mode: its one-sided bound "
+                          "over a possibly off-centre annulus has no FD counterpart")
     fd = None                     # (inner, outer, spec, reference) of the FD check
     if args.mode == "log":
         if args.eps is not None:
@@ -243,8 +246,11 @@ def _cmd_annulus(args) -> dict:
             spec = annulus.AnnulusSpec(r0, center=(args.qx, args.qy))
             value = annulus.reflection_lower_bound(fb, spec)
             row = ["reflect", r0, "", "", value, ""]
+    if not np.isfinite(value):
+        flags = "--delta" if args.mode == "log" else "--mean/--acoef/--bcoef"
+        raise ConfigError(f"{flags}: the {args.mode} value is {value}, not a finite number")
     fd_v = fd_err = ""
-    if args.fd_check and fd is not None:
+    if args.fd_check:
         inner, outer, spec, reference = fd
         fd_v = annulus.fd_oracle(inner, outer, spec, (args.grid_r, args.grid_t))
         fd_err = abs(fd_v - reference) / reference if reference else 0.0

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from planes4 import annulus as an
+from planes4.errors import NumericalError
+
+from helpers import fd_thomas_oracle
 
 
 def uniform_samples(fn, m=256):
@@ -194,6 +199,50 @@ def test_fd_rejects_coarse_grid_and_bad_data():
         an.fd_oracle(np.cos, np.cos, spec, (32, 512))
     with pytest.raises(ValueError):
         an.fd_oracle(np.ones(100), np.cos, spec, (64, 256))
+
+
+@pytest.mark.parametrize("grid, rel", [
+    ((64, 256), 1e-13), ((128, 512), 1e-13), ((512, 2048), 1e-13),
+    # ds/dt ~ 2e-3 at r0 = 0.9: against a long-double solve the sweep's own
+    # rounding reaches 3e-13 on random samples, the closed form's 2e-16
+    ((2048, 256), 1e-12),
+])
+def test_fd_matches_thomas_sweep_oracle(grid, rel):
+    # the closed-form mode solution and the tridiagonal sweep solve the same
+    # difference equations, on concentric and reflected annuli alike
+    rng = np.random.default_rng(36)
+    theta = np.arange(grid[1]) * (2.0 * np.pi / grid[1])
+    for r0 in (0.01, 0.1, 0.5, 0.9):
+        for outer in (1.0, 1.0 / r0):
+            spec = an.AnnulusSpec(r0, outer=outer)
+            fourier = [random_boundary(rng, order=6).evaluate(theta) for _ in range(2)]
+            samples = [rng.normal(size=grid[1]) for _ in range(2)]
+            for inner_data, outer_data in (fourier, samples):
+                want = fd_thomas_oracle(inner_data, outer_data, spec, grid)
+                got = an.fd_oracle(inner_data, outer_data, spec, grid)
+                assert abs(got - want) <= rel * abs(want), (r0, outer, got, want)
+
+
+def test_fd_rejects_non_finite_data_and_energy():
+    spec = an.AnnulusSpec(0.5, outer=2.0)
+    with pytest.raises(NumericalError, match="residual check"):
+        an.fd_oracle(np.full(512, np.nan), np.cos, spec)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+        an.fd_oracle(lambda t: 1e200 * np.cos(t), np.cos, spec)
+
+
+def test_fd_peak_memory_at_512_by_2048():
+    # bounded by the tracemalloc peak of the Thomas-sweep solver it replaced
+    fb = an.FourierBoundary(0.0, [1.0], [0.0])
+    spec = an.AnnulusSpec(0.5, outer=2.0)
+    an.fd_oracle(fb.evaluate, fb.evaluate, spec, (512, 2048))      # warm the FFT caches
+    tracemalloc.start()
+    try:
+        an.fd_oracle(fb.evaluate, fb.evaluate, spec, (512, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42.08e6, peak
 
 
 def test_fd_matches_closed_form_on_multimode_boundaries():

@@ -90,6 +90,17 @@ def test_wirtinger_csv_bytes_are_pinned(tmp_path, seed, samples, digest):
     assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--mode", "exact", "--r0", "0.5"], "7fa780572d060fa5"),
+    (["--mode", "log", "--r0", "0.1"], "bc480f923fea6545"),
+])
+def test_annulus_fd_check_csv_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "a"
+    assert run_command(["annulus", *argv, "--fd-check", "--grid-r", "512", "--grid-t", "2048",
+                        "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()[:16] == digest
+
+
 def _wirtinger_rows(out, samples, tol):
     assert run_command(["wirtinger", "--samples", str(samples), "--seed", "7",
                         "--tol", str(tol), "--out", str(out)]) == 0
@@ -272,6 +283,11 @@ OUT_OF_RANGE = [
     (["annulus", "--mode", "reflect", "--r0", "0.6"], "r0=0.6"),
     (["annulus", "--mode", "log", "--r0", "0.1", "--eps", "1.5"], "got 1.5"),
     (["annulus", "--mode", "log", "--r0", "0.1", "--fd-check", "--grid-r", "10"], "(10, 512)"),
+    (["annulus", "--mode", "reflect", "--r0", "0.25", "--fd-check", "--grid-r", "10"],
+     "--fd-check does not apply to reflect mode"),
+    (["annulus", "--mode", "exact", "--r0", "0.5", "--acoef", "1e200", "--fd-check"],
+     "--mean/--acoef/--bcoef: the exact value is inf"),
+    (["annulus", "--mode", "log", "--r0", "0.1", "--delta", "1e200"], "--delta: the log value is inf"),
     (["scan", "--eps", "2"], "got 2.0"),
     (["scan", "--eps", "0.01", "--density", "0"], "got 0.0"),
     (["scan", "--eps", "0.01", "--density", "1e-5"], "spacing 1e-05 would give 3.2e+11"),
