@@ -223,29 +223,30 @@ def _cmd_annulus(args) -> dict:
         raise ConfigError("--fd-check does not apply to reflect mode: its one-sided bound "
                           "over a possibly off-centre annulus has no FD counterpart")
     fd = None                     # (inner, outer, spec, reference) of the FD check
-    if args.mode == "log":
-        if args.eps is not None:
-            value, const = annulus.log_annulus_bound(args.delta, r0, args.eps)
+    with np.errstate(over="ignore"):   # an overflow is reported as a non-finite value
+        if args.mode == "log":
+            if args.eps is not None:
+                value, const = annulus.log_annulus_bound(args.delta, r0, args.eps)
+            else:
+                value, const = annulus.log_annulus_bound(args.delta, r0), ""
+            row = ["log", r0, args.delta, "" if args.eps is None else args.eps, value, const]
+            fd = (lambda t: np.full_like(t, args.delta * r0), np.zeros_like,
+                  annulus.AnnulusSpec(r0), annulus.log_annulus_bound(args.delta, r0))
         else:
-            value, const = annulus.log_annulus_bound(args.delta, r0), ""
-        row = ["log", r0, args.delta, "" if args.eps is None else args.eps, value, const]
-        fd = (lambda t: np.full_like(t, args.delta * r0), np.zeros_like,
-              annulus.AnnulusSpec(r0), annulus.log_annulus_bound(args.delta, r0))
-    else:
-        a = _coeffs("--acoef", args.acoef)
-        b = _coeffs("--bcoef", args.bcoef)
-        n = max(len(a), len(b))
-        fb = annulus.FourierBoundary(args.mean,
-                                     np.pad(a, (0, n - len(a))),
-                                     np.pad(b, (0, n - len(b))))
-        if args.mode == "exact":
-            value = annulus.annulus_energy_exact(fb, r0)
-            row = ["exact", r0, "", "", value, ""]
-            fd = (fb.evaluate, fb.evaluate, annulus.AnnulusSpec(r0, outer=1.0 / r0), value)
-        else:                     # argparse admits only the three modes
-            spec = annulus.AnnulusSpec(r0, center=(args.qx, args.qy))
-            value = annulus.reflection_lower_bound(fb, spec)
-            row = ["reflect", r0, "", "", value, ""]
+            a = _coeffs("--acoef", args.acoef)
+            b = _coeffs("--bcoef", args.bcoef)
+            n = max(len(a), len(b))
+            fb = annulus.FourierBoundary(args.mean,
+                                         np.pad(a, (0, n - len(a))),
+                                         np.pad(b, (0, n - len(b))))
+            if args.mode == "exact":
+                value = annulus.annulus_energy_exact(fb, r0)
+                row = ["exact", r0, "", "", value, ""]
+                fd = (fb.evaluate, fb.evaluate, annulus.AnnulusSpec(r0, outer=1.0 / r0), value)
+            else:                     # argparse admits only the three modes
+                spec = annulus.AnnulusSpec(r0, center=(args.qx, args.qy))
+                value = annulus.reflection_lower_bound(fb, spec)
+                row = ["reflect", r0, "", "", value, ""]
     if not np.isfinite(value):
         flags = "--delta" if args.mode == "log" else "--mean/--acoef/--bcoef"
         raise ConfigError(f"{flags}: the {args.mode} value is {value}, not a finite number")

@@ -15,8 +15,10 @@ never forms the self-dual split of the closed-form supremum; the SVD oracle
 takes the same supremum as the larger operator norm of A1 +/- A2.
 
 The Thomas-sweep annulus oracle is the tridiagonal solve, mode by mode
-and row by row, that the closed-form sinh solution of ``fd_oracle``
-replaced; both solve the same difference equations.
+and row by row, that the closed-form solution of ``fd_oracle`` replaced;
+both solve the same difference equations.  It is the only reference that
+assembles the physical grid: it checks the residual and takes the Q1
+energy there, where ``fd_oracle`` works on the Fourier modes alone.
 
 The sequential SplitMix64 is the per-draw Python-int generator that the
 numpy block draws of ``planes4.rng`` must reproduce bit for bit, and the

@@ -91,7 +91,7 @@ def test_wirtinger_csv_bytes_are_pinned(tmp_path, seed, samples, digest):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["--mode", "exact", "--r0", "0.5"], "7fa780572d060fa5"),
+    (["--mode", "exact", "--r0", "0.5"], "5bc769d8f905b1ae"),
     (["--mode", "log", "--r0", "0.1"], "bc480f923fea6545"),
 ])
 def test_annulus_fd_check_csv_bytes_are_pinned(tmp_path, argv, digest):
@@ -438,6 +438,20 @@ def _child_python(args, **kwargs):
 
 def _module_cli(args, **kwargs):
     return _child_python(["-m", "planes4", *args], **kwargs)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "exact", "--r0", "0.5", "--acoef", "1e200"],
+     "planes4: configuration error: --mean/--acoef/--bcoef: the exact value is inf, "
+     "not a finite number"),
+    (["--mode", "log", "--r0", "0.5", "--delta", "1e200"],
+     "planes4: configuration error: --delta: the log value is inf, not a finite number"),
+])
+def test_annulus_overflow_reports_config_error_without_warning(tmp_path, argv, message):
+    # a fresh process, so numpy's once-per-location warnings cannot be spent already
+    r = _module_cli(["annulus", *argv, "--out", str(tmp_path / "a")])
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.strip() == message, r.stderr
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
