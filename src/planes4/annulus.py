@@ -116,20 +116,13 @@ def annulus_energy_exact(fb: FourierBoundary, r0: float) -> float:
     return float(2.0 * np.pi * np.sum(n * (fb.a**2 + fb.b**2) * ratio))
 
 
-def _as_fourier(data: FourierBoundary | np.ndarray, order: int = 32) -> FourierBoundary:
-    if isinstance(data, FourierBoundary):
-        return data
-    return fourier_decompose(np.asarray(data, dtype=float), order)
-
-
-def reflection_lower_bound(data: FourierBoundary | np.ndarray, spec: AnnulusSpec) -> float:
+def reflection_lower_bound(fb: FourierBoundary, spec: AnnulusSpec) -> float:
     """One-sided Dirichlet-energy floor (1/4) r0^-1 * int |u0 - mean|^2 ds.
 
     In Fourier data this is (pi/4) sum (A_n^2 + B_n^2); the value does not
     depend on the inner-circle center as long as the admissibility radius
     condition holds.
     """
-    fb = _as_fourier(data)
     dist = spec.outer - np.hypot(*spec.center)       # outer/2 at the centre
     if not spec.r0 < 0.5 * dist:
         raise ConfigError(f"reflection bound needs r0 < dist(center, outer circle)/2, "

@@ -48,7 +48,7 @@ class SetSample:
         pts = np.ascontiguousarray(self.points, dtype=float).reshape(-1, 4)
         if not len(pts):
             raise ValueError("a set sample must contain at least one point")
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
         object.__setattr__(self, "points", pts)
 
@@ -135,10 +135,9 @@ _GRID_N = 3              # coarse grid points per translation axis
 _PLANE_POINTS = 48       # plane-lattice points per window diameter
 _MAX_ROUNDS = 24         # coordinate-descent rounds at most
 
-#: lattice points per kd-tree query and window points per set-side block
-#: when a search candidate is evaluated against the incumbent
+#: lattice points per kd-tree query when a search candidate is evaluated
+#: against the incumbent
 _LATTICE_CHUNK = 512
-_SET_CHUNK = 16_384
 
 
 class _PairGeometry:
@@ -146,10 +145,11 @@ class _PairGeometry:
 
     The plane pair, its complement bases ``comp``, the in-plane coordinates
     ``inplane`` and ``tree``, the scan's one kd-tree, which answers every
-    lattice query in every window exactly.  The tree is built by sliding
-    midpoint (``balanced_tree=False``) without shrinking each node to its
-    points' box (``compact_nodes=False``), which builds and queries faster
-    here; a nearest-neighbour query is exact in any tree shape, so the
+    lattice query in every window exactly; ``sup_to_pair`` is the scan's
+    one set-side routine.  The tree is built by sliding midpoint
+    (``balanced_tree=False``) without shrinking each node to its points'
+    box (``compact_nodes=False``), which builds and queries faster here;
+    a nearest-neighbour query is exact in any tree shape, so the
     distances it returns do not depend on these two arguments.
     """
 
@@ -166,29 +166,23 @@ class _PairGeometry:
         """Ascending indices of the sample points inside D(x, r)."""
         return np.flatnonzero(_in_bicylinder(*self.inplane, self.planes, x, r))
 
-    def pair_dist(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """Distance (len(qs), m) of each point to the pair translated by each q.
-
-        n1, n2 are the points' complement coordinates (m, 2) per plane; the
-        translate only shifts those coordinates by q's.
-        """
-        return np.minimum(_plane_dist(n1, qs @ self.comp[0].T),
-                          _plane_dist(n2, qs @ self.comp[1].T))
-
     def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Sup over points of the distance to the pair translated by each q.
 
-        The distance to plane i's translate depends on q only through its
-        complement coordinates q @ comp_i.T, and a coarse grid repeats them:
-        on a canonical pair (P1 = P01) the 81 candidates share 9 rows for
-        P1, on the orthogonal pair 9 rows for P2 as well.  So each distinct
+        The one set side of the scan: the coarse grid's lower bounds and
+        the set side of every window value come from it.  The distance to
+        plane i's translate depends on q only through its complement
+        coordinates q @ comp_i.T, and a coarse grid repeats them: on a
+        canonical pair (P1 = P01) the 81 candidates share 9 rows for P1,
+        on the orthogonal pair 9 rows for P2 as well.  So each distinct
         row of a plane, found by exact equality, gets one hypot pass over
         the points, in chunks of at most 16 rows, taking first the plane
         with fewer distinct rows; each q then takes the max of the
-        elementwise minimum of its two rows.  The rows come from the
-        16-row matmul batches ``pair_dist`` would use, so every value has
-        the bits of ``pair_dist(n1, n2, qs).max(axis=1)``.  A pair with no
-        repeated row costs one hypot pass per q and plane, as that does.
+        elementwise minimum of its two rows.  The rows come from 16-row
+        matmul batches of qs, so every value has the bits of a separate
+        pair of hypot passes per q over the same batches (the tests'
+        oracle ``pair_dist``).  A pair with no repeated row costs one hypot
+        pass per q and plane, as that does.
         """
         qs = np.atleast_2d(qs)
         out = np.zeros(len(qs))
@@ -218,11 +212,12 @@ class _WindowCtx:
     ``idx`` holds the sample points inside D(x, r), cut by a mask over the
     whole sample, and ``n1``, ``n2`` the complement coordinates of the
     search subsample.  ``value`` is the one routine for the window value
-    max(set-side sup, lattice sup) / r at a translate q: the search calls
-    it with a bar to reject candidates early, ``exact_value`` calls it
-    with no bar on all the window's points.  ``candidates`` and
-    ``rejected_early`` count the search's evaluations in this window, and
-    ``workers``, read once here, is the kd-tree query thread count.
+    max(set-side sup, lattice sup) / r at a translate q, its set side
+    taken from ``sup_to_pair``: the search calls it with a bar to reject
+    candidates early, ``exact_value`` calls it with no bar on all the
+    window's points.  ``candidates`` and ``rejected_early`` count the
+    search's evaluations in this window, and ``workers``, read once
+    here, is the kd-tree query thread count.
 
     The pair lattice is built once per window.  Its template is the disc
     of offsets T = (a, b) * spacing, |T| <= r, with ``_PLANE_POINTS``
@@ -282,14 +277,14 @@ class _WindowCtx:
         """Window value at q, or None once a partial sup reaches ``bar``.
 
         The value is max(set side, lattice side) / r, the set side taken
-        over the points with complement coordinates n1, n2.  The lattice
-        side goes first, starting at the template point that rejected the
-        previous candidate if it is a lattice point at q (so most rejected
-        candidates never build their lattice), then plane by plane; the
-        set side follows, both in blocks.  Partial sups only grow and
-        division by r is monotone, so a q that passes every block gets
-        the very value a full evaluation gives; with no bar nothing is
-        rejected.
+        by ``sup_to_pair`` over the points with complement coordinates
+        n1, n2.  The lattice side goes first, starting at the template
+        point that rejected the previous candidate if it is a lattice
+        point at q (so most rejected candidates never build their
+        lattice), then plane by plane in chunks; the set side follows in
+        one pass.  Partial sups only grow and division by r is monotone,
+        so a q that passes every chunk gets the very value a full
+        evaluation gives; with no bar nothing is rejected.
         """
         r = self.r
         m = 0.0
@@ -309,13 +304,8 @@ class _WindowCtx:
                 if m / r >= bar:
                     self._probe = (i, int(np.flatnonzero(keep)[a + k]))
                     return None
-        q2 = q[None, :]
-        for a in range(0, len(n1), _SET_CHUNK):
-            d = self.geom.pair_dist(n1[a:a + _SET_CHUNK], n2[a:a + _SET_CHUNK], q2)
-            m = max(m, float(d.max()))
-            if m / r >= bar:
-                return None
-        return m / r
+        m = max(m, float(self.geom.sup_to_pair(n1, n2, q[None, :])[0]))
+        return None if m / r >= bar else m / r
 
     def beats(self, q: np.ndarray, best_d: float) -> float | None:
         """Search value at q if it is below best_d - 1e-15, else None."""
@@ -367,7 +357,7 @@ def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
     # queries: fed through ``beats`` in grid order, all 81 were evaluated and
     # one scan_pinch pass took 94.1 s against 6.9 s (2 cores, one run each).
     # The batch computes each distinct translate of each plane once, with
-    # the bits of one ``pair_dist`` per candidate (see ``sup_to_pair``)
+    # the bits of a separate hypot pass per candidate (see ``sup_to_pair``)
     lowers = ctx.geom.sup_to_pair(ctx.n1, ctx.n2, grid) / r
     best_q, best_d = None, np.inf
     for k in np.argsort(lowers, kind="stable"):
@@ -415,7 +405,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     """
     if not (0.0 < eps < 1.0):
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    if floor < 2.0 * e.resolution:
+    if not floor >= 2.0 * e.resolution:
         raise ConfigError(
             f"floor {floor} below twice the sample resolution {e.resolution}"
         )
@@ -452,7 +442,7 @@ def sample_mesh(mesh: TriMesh4, spacing: float) -> SetSample:
     points; a spacing that asks for more than ``_SAMPLE_POINT_CAP`` is a
     configuration error, raised before any point is built.
     """
-    if spacing <= 0:
+    if not spacing > 0:
         raise ConfigError(f"spacing must be positive, got {spacing}")
     v = mesh.vertices[mesh.faces]
     edge = max(

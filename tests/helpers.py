@@ -9,10 +9,13 @@ The shadow-bitmap and area-gradient oracles are the straightforward
 per-triangle loop and structure-tensor/``np.add.at`` forms that the
 vectorised production kernels must reproduce bit for bit, and the
 translate-search oracle is the exhaustive search that the early-rejecting
-scanner search must reproduce bit for bit.  The projection-sum grid oracle
-maximizes over a sphere grid of first vectors, exactly in each fiber, and
-never forms the self-dual split of the closed-form supremum; the SVD oracle
-takes the same supremum as the larger operator norm of A1 +/- A2.
+scanner search must reproduce bit for bit.  Its set side is ``pair_dist``,
+two hypot passes per translate, which the scanner's one set-side routine
+``sup_to_pair`` replaced and must reproduce bit for bit.  The
+projection-sum grid oracle maximizes over a sphere grid of first vectors,
+exactly in each fiber, and never forms the self-dual split of the
+closed-form supremum; the SVD oracle takes the same supremum as the
+larger operator norm of A1 +/- A2.
 
 The Thomas-sweep annulus oracle is the tridiagonal solve, mode by mode
 and row by row, that the closed-form solution of ``fd_oracle`` replaced;
@@ -44,7 +47,7 @@ from planes4.annulus import AnnulusSpec, BoundaryData, _boundary_values
 from planes4.errors import ConfigError, NumericalError
 from planes4.grassmann import Plane
 from planes4.rng import SplitMix64
-from planes4.scanner import SetSample, _in_bicylinder
+from planes4.scanner import SetSample, _in_bicylinder, _plane_dist
 from planes4.surfaces import TriMesh4
 
 
@@ -231,17 +234,28 @@ def window_mask_oracle(geom, x: np.ndarray, r: float) -> np.ndarray:
     return m
 
 
+def pair_dist(geom, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Distance (len(qs), m) of each point to the pair translated by each q.
+
+    n1, n2 are the points' complement coordinates (m, 2) per plane; the
+    translate only shifts those coordinates by q's.
+    """
+    return np.minimum(_plane_dist(n1, qs @ geom.comp[0].T),
+                      _plane_dist(n2, qs @ geom.comp[1].T))
+
+
 def pair_sup_oracle(geom, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Sup over points of the distance to the pair translated by each q.
 
-    Every q gets its own two hypot passes, ``geom.pair_dist`` over 16 qs at
-    a time, with no sharing of repeated translate rows.
+    Every q gets its own two hypot passes, ``pair_dist`` over 16 qs at a
+    time, with no sharing of repeated translate rows; the scanner's
+    ``sup_to_pair``, which shares them, must give the same bits.
     """
     qs = np.atleast_2d(qs)
     out = np.zeros(len(qs))
     if len(n1):
         for s in range(0, len(qs), 16):
-            out[s:s + 16] = geom.pair_dist(n1, n2, qs[s:s + 16]).max(axis=1)
+            out[s:s + 16] = pair_dist(geom, n1, n2, qs[s:s + 16]).max(axis=1)
     return out
 
 
@@ -277,9 +291,9 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     against the whole-sample kd-tree ``geom.tree``, the window masks run
     over the whole sample, and every projection is taken here from
     ``e.points``.  Every set-side sup, the coarse grid's lower bounds
-    among them, is ``pair_dist(n1, n2, qs).max(axis=1)`` in 16-row
+    among them, is ``pair_dist(geom, n1, n2, qs).max(axis=1)`` in 16-row
     batches, never the production ``sup_to_pair``.  Only the complement
-    bases ``geom.comp``, the pair kernel ``pair_dist``, the window lattice
+    bases ``geom.comp``, the hypot kernel ``_plane_dist``, the window lattice
     ``_WindowCtx.lattice`` (built once for D(x, r), anchored at x's
     projection onto P_i + q, 48 points per window diameter; checked
     against ``pair_lattice_oracle`` in

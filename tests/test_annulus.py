@@ -129,9 +129,9 @@ def test_reflection_bound_radius_conditions():
         an.reflection_lower_bound(fb, an.AnnulusSpec(0.25, center=(0.6, 0.0)))
 
 
-def test_reflection_bound_accepts_samples():
-    samples = uniform_samples(np.cos)
-    got = an.reflection_lower_bound(samples, an.AnnulusSpec(0.25))
+def test_reflection_bound_of_decomposed_samples():
+    fb = an.fourier_decompose(uniform_samples(np.cos), 32)
+    got = an.reflection_lower_bound(fb, an.AnnulusSpec(0.25))
     assert got == pytest.approx(0.25 * np.pi, abs=1e-10)
 
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,8 +195,7 @@ def test_search_bitwise_equals_exhaustive_oracle(name, r):
 
 def test_exact_value_covers_points_outside_the_search_subsample():
     # the set side's maximiser (the outlier) is left out of the search
-    # subsample and lies in the last set-side block of the full window, so
-    # only an exact value over every block of the whole window reaches it
+    # subsample, so only an exact value over the whole window reaches it
     e = oracle_sample("dense_outlier")
     outlier = len(e.points) - 2
     geom = sc._PairGeometry(e, *PLANES)
@@ -204,8 +204,25 @@ def test_exact_value_covers_points_outside_the_search_subsample():
         stride = int(np.ceil(len(ctx.idx) / sc._SEARCH_POINT_CAP))
         pos = int(np.searchsorted(ctx.idx, outlier))
         assert ctx.idx[pos] == outlier and stride >= 2 and pos % stride
-        assert pos >= (len(ctx.idx) - 1) // sc._SET_CHUNK * sc._SET_CHUNK
         assert_search_matches_oracle("dense_outlier", x, 0.5)
+
+
+def test_exact_value_peak_memory_on_a_392k_point_window():
+    # 5% above the measured 25.20 MB: the window's complement coordinates
+    # (two m x 2 tables, built through an m x 4 copy of its points) and
+    # the set side's few length-m rows in one pass over the window
+    e = sc.plane_pair_sample(spacing=2e-3, extent=0.5)
+    ctx = sc._WindowCtx(sc._PairGeometry(e, *PLANES), np.zeros(4), 0.5)
+    assert len(ctx.idx) == 392_642
+    q = np.array([0.03, -0.02, 0.01, 0.04])
+    ctx.exact_value(q)                                  # warm the first-call allocations
+    tracemalloc.start()
+    try:
+        ctx.exact_value(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26.46e6, peak
 
 
 @settings(max_examples=10, deadline=None)
@@ -485,6 +502,19 @@ def test_process_rejects_bad_parameters():
         sc.epsilon_process(e, PLANES, eps=0.0, floor=0.1)
     with pytest.raises(ValueError):
         sc.epsilon_process(e, PLANES, eps=0.05, floor=0.001)  # below 2h
+
+
+def test_scan_inputs_reject_nan():
+    # NaN fails every comparison, so each check must be the negated
+    # positive condition to refuse it
+    from helpers import fan_disk
+    e = small_plane_sample()
+    with pytest.raises(ValueError, match="resolution must be positive, got nan"):
+        sc.SetSample(e.points, float("nan"))
+    with pytest.raises(ConfigError, match="floor nan below twice the sample resolution"):
+        sc.epsilon_process(e, PLANES, 0.05, float("nan"))
+    with pytest.raises(ConfigError, match="spacing must be positive, got nan"):
+        sc.sample_mesh(fan_disk(8, gr.P01), float("nan"))
 
 
 # -------------------------------------------------------------- mesh sample
