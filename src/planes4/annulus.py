@@ -80,33 +80,6 @@ class AnnulusSpec:
             raise ConfigError(f"need 0 < r0 < outer, got r0={self.r0}, outer={self.outer}")
 
 
-def fourier_decompose(samples: np.ndarray, order: int) -> FourierBoundary:
-    """Trapezoidal-rule Fourier coefficients from equally spaced (theta, value) rows.
-
-    Exact to roundoff for trigonometric polynomials of degree <= order once
-    the sample count is at least 2(order+1); at least 4*order + 1 samples
-    are required here.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise ValueError("samples must be rows of (theta, value)")
-    m = len(samples)
-    if m < 4 * order + 1:
-        raise ValueError(f"need at least {4 * order + 1} samples for order {order}, got {m}")
-    theta = samples[:, 0]
-    vals = samples[:, 1]
-    step = 2.0 * np.pi / m
-    expected = theta[0] + step * np.arange(m)
-    if np.max(np.abs((theta - expected + np.pi) % (2.0 * np.pi) - np.pi)) > 1e-9:
-        raise ValueError("samples are not equally spaced over the circle")
-    n = np.arange(1, order + 1)
-    ang = np.multiply.outer(n, theta)
-    mean = float(np.mean(vals))
-    a = (2.0 / m) * (np.cos(ang) @ vals)
-    b = (2.0 / m) * (np.sin(ang) @ vals)
-    return FourierBoundary(mean, a, b)
-
-
 def annulus_energy_exact(fb: FourierBoundary, r0: float) -> float:
     """Dirichlet energy over B(0,1/r0) \\ B(0,r0) of the reflected extension."""
     if not (0.0 < r0 < 1.0):

@@ -308,7 +308,7 @@ def _cmd_plateau(args) -> dict:
     # every config and its competitor are checked before the first descent starts
     configs = [plateau.ExperimentConfig(
         alpha1=args.alpha1, alpha2=args.alpha2, boundary_segments=args.segments,
-        pinch_radius=p, max_iters=args.iters, resolution=args.resolution)
+        pinch_radius=p, max_iters=args.iters)
         for p in pinches]
     competitors = [plateau.build_competitor(cfg) for cfg in configs]
     workers = min(thread_count(), len(configs))
@@ -463,7 +463,6 @@ def _build_parser() -> _Parser:
                    help="comma list of pinch radii (overrides --pinch)")
     p.add_argument("--segments", type=_count, default=256)
     p.add_argument("--iters", type=_count, default=200)
-    p.add_argument("--resolution", type=_count, default=256)
     p.add_argument("--write-mesh", action="store_true",
                    help="write optimized meshes as .mesh4 files")
     return parser

@@ -33,7 +33,7 @@ from . import exterior
 from .bounds import area_lower_bound
 from .errors import ConfigError
 from .grassmann import Plane, canonical_pair
-from .surfaces import TriMesh4, projection_inequality_report
+from .surfaces import SHADOW_RESOLUTION, TriMesh4, projection_inequality_report
 
 
 _STEP = 0.01            # initial descent step; accepted steps grow it up to 10x
@@ -47,7 +47,6 @@ class ExperimentConfig:
     boundary_segments: int = 256
     pinch_radius: float = 0.0
     max_iters: int = 200             # descent iteration cap
-    resolution: int = 256            # shadow rasterization cells per unit
 
     def __post_init__(self):
         if not (0.0 < self.alpha1 <= self.alpha2 <= np.pi / 2 + 1e-15):
@@ -60,8 +59,6 @@ class ExperimentConfig:
             raise ConfigError(f"need at least 32 boundary segments, got {self.boundary_segments}")
         if 0.0 < self.pinch_radius < 4.0 / self.boundary_segments:
             raise ConfigError(_tube_message(self.pinch_radius, self.boundary_segments))
-        if self.resolution < 128:
-            raise ConfigError(f"certificate resolution must be >= 128, got {self.resolution}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class ExperimentReport:
     area_trace: np.ndarray
     certificate_bound: float
     shadows_cover: tuple[bool, bool]
-    verdict: str                     # no-improvement-found | improved | certified-optimal
+    verdict: str                     # improved | certified-optimal | no-improvement-found
     tolerance: float                 # rasterization + discretization allowance
     stopped: str                     # descent stop reason, as in MinimizeResult
     grad_norm: float                 # free-vertex gradient norm at the final mesh
@@ -275,20 +272,17 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
     return MinimizeResult(out, np.array(trace), gnorm, stopped)
 
 
-def certificate_lower_bound(
-    mesh: TriMesh4, p1: Plane, p2: Plane, resolution: int = 256
-) -> tuple[float, tuple[bool, bool]]:
+def certificate_lower_bound(mesh: TriMesh4, p1: Plane,
+                            p2: Plane) -> tuple[float, tuple[bool, bool]]:
     """Certified area floor (shadow1 + shadow2) / lambda plus coverage flags.
 
     The shadows and lambda come from ``projection_inequality_report``.
-    Coverage asks each shadow to reach (1 - 2/resolution) * pi, the full
-    unit disk up to rasterization slop.
+    Coverage asks each shadow to reach (1 - 2/SHADOW_RESOLUTION) * pi, the
+    full unit disk up to rasterization slop.
     """
-    if resolution < 128:
-        raise ValueError(f"certificate resolution must be >= 128, got {resolution}")
-    rep = projection_inequality_report(mesh, p1, p2, resolution)
+    rep = projection_inequality_report(mesh, p1, p2)
     sh1, sh2 = rep.shadow_areas
-    full = (1.0 - 2.0 / resolution) * np.pi
+    full = (1.0 - 2.0 / SHADOW_RESOLUTION) * np.pi
     return (sh1 + sh2) / rep.lambda_used, (sh1 >= full, sh2 >= full)
 
 
@@ -298,22 +292,30 @@ def mesh_area_tolerance(n: int) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig, mesh: TriMesh4) -> ExperimentReport:
-    """Minimize the competitor ``mesh = build_competitor(cfg)``, certify, and attach a verdict."""
+    """Minimize the competitor ``mesh = build_competitor(cfg)``, certify, and attach a verdict.
+
+    The verdicts are tested in order: ``improved`` when the final area is
+    below 2*pi by more than twice ``mesh_area_tolerance``, else
+    ``certified-optimal`` when both shadows cover their disks, the final
+    area reaches the certificate bound and the bound reaches
+    2*pi / (1 + 2 cos(alpha1)), both within ``tolerance``, else
+    ``no-improvement-found``.
+    """
     p1, p2 = canonical_pair(cfg.alpha1, cfg.alpha2)
     n = cfg.boundary_segments
     result = minimize_area(mesh, cfg.max_iters)
     final = float(result.trace[-1])
 
     mesh_tol = mesh_area_tolerance(n)
-    tol = 4.0 / cfg.resolution + 2.0 * mesh_tol
-    bound, covers = certificate_lower_bound(result.mesh, p1, p2, cfg.resolution)
+    tol = 4.0 / SHADOW_RESOLUTION + 2.0 * mesh_tol
+    bound, covers = certificate_lower_bound(result.mesh, p1, p2)
 
-    if (covers[0] and covers[1]
+    if final < 2.0 * np.pi - 2.0 * mesh_tol:
+        verdict = "improved"
+    elif (covers[0] and covers[1]
             and final >= bound - tol
             and bound >= area_lower_bound(2.0 * np.cos(cfg.alpha1)) - tol):
         verdict = "certified-optimal"
-    elif final < 2.0 * np.pi - 2.0 * mesh_tol:
-        verdict = "improved"
     else:
         verdict = "no-improvement-found"
 

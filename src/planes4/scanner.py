@@ -342,7 +342,11 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     return _search_translate(ctx, tol)
 
 
-def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
+def _search_translate(ctx: _WindowCtx, tol: float,
+                      at_x: float | None = None) -> tuple[np.ndarray, float]:
+    """The search of ``best_translation``.  ``at_x``, if given, is
+    ``ctx.exact_value(ctx.x)``, and it is returned when the search ends at
+    the window centre, so that value is not computed twice."""
     x, r = ctx.x, ctx.r
     if not len(ctx.idx):
         return x.copy(), 0.0
@@ -384,6 +388,8 @@ def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
             step *= 0.5
             if step < tol * r:
                 break
+    if at_x is not None and np.array_equal(best_q, x):
+        return best_q, at_x
     return best_q, ctx.exact_value(best_q)
 
 
@@ -415,7 +421,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     while (s := 2.0 ** (-n)) >= floor:
         ctx = _WindowCtx(geom, q, s)
         carried = ctx.exact_value(q)
-        best_q, best_d = _search_translate(ctx, 1e-4 * eps)
+        best_q, best_d = _search_translate(ctx, 1e-4 * eps, carried)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
                               len(ctx.idx), len(ctx.lattice(q)), ctx.candidates,
                               ctx.rejected_early))

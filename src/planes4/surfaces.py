@@ -4,8 +4,9 @@ A mesh is vertices (n, 4), faces (m, 3) of vertex indices, and a per-vertex
 ``fixed`` flag marking boundary vertices that optimizers must not move.
 Face areas use the wedge-product norm; ``shadow_area`` rasterizes the
 projected triangles and counts covered cells once, so it measures the
-image set (multiplicity collapsed).  The rasterization error
-is O(perimeter / resolution) and always reported conservatively by
+image set (multiplicity collapsed), on a grid of ``SHADOW_RESOLUTION``
+cells per unit length.  The rasterization error is
+O(perimeter / SHADOW_RESOLUTION) and always reported conservatively by
 callers.  ``projection_inequality_report`` is the one place that computes
 the parts of the shadow inequality shadow1 + shadow2 <= lambda * area (the
 two shadows and lambda); the Plateau certificate reads them from it.
@@ -30,6 +31,9 @@ from .grassmann import Plane
 from .bounds import projection_sums, sup_projection_sum
 
 _DEGENERATE_AREA = 1e-14
+#: shadow rasterization cells per unit length; the Plateau certificate's
+#: coverage threshold and verdict tolerance read it too
+SHADOW_RESOLUTION = 256
 
 
 @dataclass
@@ -114,18 +118,16 @@ def face_tangents(mesh: TriMesh4) -> np.ndarray:
     return w[keep] / n[keep, None]
 
 
-def shadow_area(mesh: TriMesh4, plane: Plane, resolution: int = 256) -> float:
+def shadow_area(mesh: TriMesh4, plane: Plane) -> float:
     """Measure of the projected image set, by rasterization.
 
     Projects every triangle to plane coordinates and marks grid cells
-    (``resolution`` cells per unit length) whose center is covered by at
-    least one triangle; overlapping triangles count once.
+    (``SHADOW_RESOLUTION`` cells per unit length) whose center is covered
+    by at least one triangle; overlapping triangles count once.
     """
-    if resolution < 64:
-        raise ValueError(f"resolution must be >= 64, got {resolution}")
     if not len(mesh.faces):
         return 0.0
-    cell = 1.0 / resolution
+    cell = 1.0 / SHADOW_RESOLUTION
     tris = (mesh.vertices @ plane.basis.T)[mesh.faces]     # (m, 3, 2)
     lo = tris.reshape(-1, 2).min(axis=0) - cell
     hi = tris.reshape(-1, 2).max(axis=0) + cell
@@ -190,9 +192,7 @@ class ProjectionReport:
     lambda_used: float
 
 
-def projection_inequality_report(
-    mesh: TriMesh4, p1: Plane, p2: Plane, resolution: int = 256
-) -> ProjectionReport:
+def projection_inequality_report(mesh: TriMesh4, p1: Plane, p2: Plane) -> ProjectionReport:
     """Parts of the shadow inequality shadow1 + shadow2 <= lambda * area.
 
     lambda is the largest projection sum over the faces of nonzero area;
@@ -202,7 +202,7 @@ def projection_inequality_report(
     rasterization error; read backwards, the inequality is the Plateau
     certificate area >= (shadow1 + shadow2) / lambda.
     """
-    sh = (shadow_area(mesh, p1, resolution), shadow_area(mesh, p2, resolution))
+    sh = (shadow_area(mesh, p1), shadow_area(mesh, p2))
     w = face_tangents(mesh)
     if len(w):
         lam = float(np.max(projection_sums(p1, p2, w)))
@@ -275,7 +275,6 @@ def band_area(
     rho: float = 0.75,
     n: int = 512,
     t_steps: int = 64,
-    check_lip: bool = True,
 ) -> tuple[float, float]:
     """Area of the thin band {(x, t h(x))} over a circle, with its sup bound.
 
@@ -284,8 +283,8 @@ def band_area(
     integrand sqrt((1 + t^2 |h'|^2) |h|^2 - (t h'.h)^2) with derivatives in
     arc length; when |h'| <= 1 it is bounded by sqrt(2) |h|, hence the
     returned bound sqrt(2) * 2*pi*rho * sup|h| -- which at rho = 3/4 is the
-    (3 sqrt(2)/2) * pi * sup|h| constant.  With ``check_lip`` a sampled
-    Lipschitz violation raises.
+    (3 sqrt(2)/2) * pi * sup|h| constant.  A sampled Lipschitz violation
+    raises.
     """
     if rho <= 0:
         raise ValueError(f"radius must be positive, got {rho}")
@@ -296,7 +295,7 @@ def band_area(
     dx = 2.0 * np.pi * rho / n
     hp = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * dx)
     lip = float(np.max(np.linalg.norm(hp, axis=1)))
-    if check_lip and lip > 1.0 + 1e-12:
+    if lip > 1.0 + 1e-12:
         raise ValueError(f"band data violates the Lipschitz bound: |h'| up to {lip:.4f}")
 
     tmid = (np.arange(t_steps) + 0.5) / t_steps

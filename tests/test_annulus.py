@@ -10,56 +10,10 @@ from planes4.errors import NumericalError
 from helpers import fd_thomas_oracle
 
 
-def uniform_samples(fn, m=256):
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    return np.stack([theta, fn(theta)], axis=1)
-
-
 def random_boundary(rng, order=8, scale=1.0):
     a = scale * rng.normal(size=order) / (1 + np.arange(order)) ** 2
     b = scale * rng.normal(size=order) / (1 + np.arange(order)) ** 2
     return an.FourierBoundary(float(rng.normal()), a, b)
-
-
-# ---------------------------------------------------------------- fourier
-
-def test_decompose_constant():
-    fb = an.fourier_decompose(uniform_samples(lambda t: np.full_like(t, 5.0)), 8)
-    assert fb.mean == pytest.approx(5.0, abs=1e-13)
-    assert np.max(np.abs(fb.a)) <= 1e-13
-    assert np.max(np.abs(fb.b)) <= 1e-13
-
-
-def test_decompose_pure_cosine():
-    fb = an.fourier_decompose(uniform_samples(np.cos), 8)
-    assert fb.a[0] == pytest.approx(1.0, abs=1e-12)
-    coeffs = np.concatenate([[fb.mean], fb.a[1:], fb.b])
-    assert np.max(np.abs(coeffs)) <= 1e-12
-
-
-def test_decompose_mixed_signal():
-    fb = an.fourier_decompose(uniform_samples(lambda t: 2 * np.sin(3 * t) - 1), 8)
-    assert fb.mean == pytest.approx(-1.0, abs=1e-12)
-    assert fb.b[2] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_decompose_reconstruct_idempotent():
-    rng = np.random.default_rng(31)
-    fb = random_boundary(rng)
-    samples = uniform_samples(fb.evaluate, 200)
-    fb2 = an.fourier_decompose(samples, fb.order)
-    assert fb2.mean == pytest.approx(fb.mean, abs=1e-10)
-    assert np.allclose(fb2.a, fb.a, atol=1e-10)
-    assert np.allclose(fb2.b, fb.b, atol=1e-10)
-
-
-def test_decompose_rejects_insufficient_or_nonuniform():
-    with pytest.raises(ValueError):
-        an.fourier_decompose(uniform_samples(np.cos, 16), 8)   # needs 4N+1
-    bad = uniform_samples(np.cos, 256)
-    bad[3, 0] += 1e-3
-    with pytest.raises(ValueError):
-        an.fourier_decompose(bad, 8)
 
 
 # ----------------------------------------------------------------- energy
@@ -127,12 +81,6 @@ def test_reflection_bound_radius_conditions():
     with pytest.raises(ValueError):
         # dist(center, unit circle) = 0.4, needs r0 < 0.2
         an.reflection_lower_bound(fb, an.AnnulusSpec(0.25, center=(0.6, 0.0)))
-
-
-def test_reflection_bound_of_decomposed_samples():
-    fb = an.fourier_decompose(uniform_samples(np.cos), 32)
-    got = an.reflection_lower_bound(fb, an.AnnulusSpec(0.25))
-    assert got == pytest.approx(0.25 * np.pi, abs=1e-10)
 
 
 def test_log_bound_values():

@@ -117,10 +117,9 @@ def test_projected_area_cos_factor():
 
 def test_shadow_single_triangle():
     m = single_triangle([0, 0, 0, 0], [0.5, 0, 0, 0], [0, 0.5, 0, 0])
-    res = 256
-    got = sf.shadow_area(m, gr.P01, res)
+    got = sf.shadow_area(m, gr.P01)
     perimeter = 0.5 + 0.5 + np.hypot(0.5, 0.5)
-    assert abs(got - 0.125) <= 2.0 / res * perimeter
+    assert abs(got - 0.125) <= 2.0 / sf.SHADOW_RESOLUTION * perimeter
 
 
 def test_shadow_collapses_multiplicity():
@@ -129,34 +128,28 @@ def test_shadow_collapses_multiplicity():
     faces = np.vstack([m1.faces, m1.faces + len(m1.vertices)])
     m = sf.TriMesh4(verts, faces, np.concatenate([m1.fixed, m1.fixed]))
     doubled = projected_area_with_multiplicity(m, gr.P01)
-    shadow = sf.shadow_area(m, gr.P01, 256)
+    shadow = sf.shadow_area(m, gr.P01)
     assert doubled == pytest.approx(2.0 * sf.area(m1), rel=1e-12)
     assert abs(shadow - np.pi) <= 2e-2
 
 
 def test_shadow_never_exceeds_multiplicity_projection():
     rng = np.random.default_rng(43)
-    res = 256
     for _ in range(5):
         rot = random_rotation(rng)
         m0 = fan_disk(64, gr.P01)
         m = sf.TriMesh4(m0.vertices @ rot.T, m0.faces, m0.fixed)
         for plane in (gr.P01, gr.P02):
-            sh = sf.shadow_area(m, plane, res)
+            sh = sf.shadow_area(m, plane)
             pm = projected_area_with_multiplicity(m, plane)
-            assert sh <= pm + 8.0 / res
+            assert sh <= pm + 8.0 / sf.SHADOW_RESOLUTION
 
 
 def test_pinched_competitor_shadow_covers_disks():
     from planes4.plateau import build_pinched_competitor
     m = build_pinched_competitor(np.pi / 2, np.pi / 2, 0.2, 128)
     for plane in (gr.P01, gr.P02):
-        assert sf.shadow_area(m, plane, 256) >= 0.99 * np.pi
-
-
-def test_shadow_rejects_low_resolution():
-    with pytest.raises(ValueError):
-        sf.shadow_area(fan_disk(32, gr.P01), gr.P01, 32)
+        assert sf.shadow_area(m, plane) >= 0.99 * np.pi
 
 
 @pytest.mark.parametrize("pinch", [0.05, 0.2])
@@ -165,7 +158,7 @@ def test_shadow_bitmap_matches_oracle_on_descended_competitor(pinch):
     a = np.pi / 6
     m = build_pinched_competitor(a, a, pinch, 256)
     m = minimize_area(m, max_iters=5).mesh
-    cell = 1.0 / 256
+    cell = 1.0 / sf.SHADOW_RESOLUTION
     for plane in gr.canonical_pair(a, a):
         tris = (m.vertices @ plane.basis.T)[m.faces]
         lo = tris.reshape(-1, 2).min(axis=0) - cell
@@ -173,7 +166,7 @@ def test_shadow_bitmap_matches_oracle_on_descended_competitor(pinch):
         shape = tuple(int(np.ceil((hi[k] - lo[k]) / cell)) + 1 for k in range(2))
         got = sf._shadow_bitmap(tris, lo, shape, cell)
         assert np.array_equal(got, shadow_bitmap_oracle(tris, lo, shape, cell))
-        assert float(got.sum()) * cell * cell == sf.shadow_area(m, plane, 256)
+        assert float(got.sum()) * cell * cell == sf.shadow_area(m, plane)
 
 
 # grid for the property cases: 64 cells per unit over about [-1, 1]^2, with
@@ -289,11 +282,11 @@ def test_projection_report_orthogonal_disks():
     verts = np.vstack([m1.vertices, m2.vertices])
     faces = np.vstack([m1.faces, m2.faces + len(m1.vertices)])
     m = sf.TriMesh4(verts, faces, np.concatenate([m1.fixed, m2.fixed]))
-    rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
+    rep = sf.projection_inequality_report(m, gr.P01, gr.P02)
     assert rep.lambda_used == pytest.approx(1.0, abs=1e-9)
-    assert abs(_slack(rep, m)) <= 8.0 / 256
-    assert rep.shadow_areas[0] <= projected_area_with_multiplicity(m, gr.P01) + 8.0 / 256
-    assert rep.shadow_areas[1] <= projected_area_with_multiplicity(m, gr.P02) + 8.0 / 256
+    assert abs(_slack(rep, m)) <= 8.0 / sf.SHADOW_RESOLUTION
+    assert rep.shadow_areas[0] <= projected_area_with_multiplicity(m, gr.P01) + 8.0 / sf.SHADOW_RESOLUTION
+    assert rep.shadow_areas[1] <= projected_area_with_multiplicity(m, gr.P02) + 8.0 / sf.SHADOW_RESOLUTION
 
 
 def test_projection_report_graph_mesh_nonnegative_slack():
@@ -311,8 +304,8 @@ def test_projection_report_graph_mesh_nonnegative_slack():
             faces.append([a, a + n, a + n + 1])
             faces.append([a, a + n + 1, a + 1])
     m = sf.TriMesh4(verts, np.array(faces))
-    rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
-    assert _slack(rep, m) >= -8.0 / 256
+    rep = sf.projection_inequality_report(m, gr.P01, gr.P02)
+    assert _slack(rep, m) >= -8.0 / sf.SHADOW_RESOLUTION
 
 
 def _unvalidated(verts, faces, fixed):
@@ -324,17 +317,17 @@ def _unvalidated(verts, faces, fixed):
 
 def test_projection_report_single_flat_disk():
     m = fan_disk(64, gr.P01)
-    rep = sf.projection_inequality_report(m, gr.P01, gr.P02, 256)
+    rep = sf.projection_inequality_report(m, gr.P01, gr.P02)
     assert _slack(rep, m) >= -1e-6
     # a zero-area face carries no measure and has no tangent plane
     degenerate = _unvalidated(m.vertices, np.vstack([m.faces, [[1, 1, 2]]]), m.fixed)
     assert np.array_equal(sf.face_tangents(degenerate), sf.face_tangents(m))
     lam = rep.lambda_used
-    rep = sf.projection_inequality_report(degenerate, gr.P01, gr.P02, 256)
+    rep = sf.projection_inequality_report(degenerate, gr.P01, gr.P02)
     assert rep.lambda_used == lam and _slack(rep, degenerate) >= -1e-6
     # with no face to project, lambda is the pair's sharp supremum, 1 here
     empty = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
-    rep = sf.projection_inequality_report(empty, gr.P01, gr.P02, 256)
+    rep = sf.projection_inequality_report(empty, gr.P01, gr.P02)
     assert rep.lambda_used == sup_projection_sum(gr.P01, gr.P02).sup_value == 1.0
     assert _slack(rep, empty) == 0.0
 
@@ -407,11 +400,6 @@ def test_band_oscillating_height_keeps_margin():
 def test_band_lipschitz_check():
     with pytest.raises(ValueError):
         sf.band_area(lambda t: np.stack([np.cos(4 * t), np.zeros_like(t)], axis=1))
-    # same data passes with the check disabled
-    area, bound = sf.band_area(
-        lambda t: np.stack([np.cos(4 * t), np.zeros_like(t)], axis=1),
-        check_lip=False)
-    assert area > 0.0
 
 
 def test_band_general_radius_bound_constant():
