@@ -162,9 +162,17 @@ class _PairGeometry:
         self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
         self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
-    def window_index(self, x: np.ndarray, r: float) -> np.ndarray:
-        """Ascending indices of the sample points inside D(x, r)."""
-        return np.flatnonzero(_in_bicylinder(*self.inplane, self.planes, x, r))
+    def window_index(self, x: np.ndarray, r: float,
+                     parent: _WindowCtx | None = None) -> np.ndarray:
+        """Ascending indices of the sample points inside D(x, r), tested over the
+        window ``parent`` = D(x', r') only if r + max_i |(x - x') @ B_i.T| <= r',
+        less a margin far above the few ulps by which the hypot tests round."""
+        a, c = self.inplane
+        if parent is not None:
+            slack = parent.r - 1e-12 * (parent.r + np.abs(x).sum() + np.abs(parent.x).sum())
+            if r + max(np.linalg.norm((x - parent.x) @ p.basis.T) for p in self.planes) <= slack:
+                return parent.idx[_in_bicylinder(a[parent.idx], c[parent.idx], self.planes, x, r)]
+        return np.flatnonzero(_in_bicylinder(a, c, self.planes, x, r))
 
     def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Sup over points of the distance to the pair translated by each q.
@@ -209,15 +217,15 @@ class _PairGeometry:
 class _WindowCtx:
     """One scan window: its points, its pair lattice and the window value.
 
-    ``idx`` holds the sample points inside D(x, r), cut by a mask over the
-    whole sample, and ``n1``, ``n2`` the complement coordinates of the
-    search subsample.  ``value`` is the one routine for the window value
-    max(set-side sup, lattice sup) / r at a translate q, its set side
-    taken from ``sup_to_pair``: the search calls it with a bar to reject
-    candidates early, ``exact_value`` calls it with no bar on all the
-    window's points.  ``candidates`` and ``rejected_early`` count the
-    search's evaluations in this window, and ``workers``, read once
-    here, is the kd-tree query thread count.
+    ``idx`` holds the sample points inside D(x, r), cut from the window
+    ``parent`` if it holds D(x, r), and ``n1``, ``n2`` the complement
+    coordinates of the search subsample.  ``value`` is the one routine for
+    the window value max(set-side sup, lattice sup) / r at a translate q:
+    the search calls it with a bar to reject candidates early,
+    ``exact_value`` with no bar on all the window's points, and a window
+    with no subsample reuses its carried value at x for the grid centre.
+    ``candidates`` and ``rejected_early`` count the search's evaluations
+    in this window, and ``workers`` (read once) the kd-tree query threads.
 
     The pair lattice is built once per window.  Its template is the disc
     of offsets T = (a, b) * spacing, |T| <= r, with ``_PLANE_POINTS``
@@ -230,18 +238,20 @@ class _WindowCtx:
     rows, plane 1 first.
     """
 
-    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float):
+    def __init__(self, geom: _PairGeometry, x: np.ndarray, r: float,
+                 parent: _WindowCtx | None = None):
         self.geom = geom
         self.x = np.asarray(x, dtype=float)
         self.r = r
         self.spacing = 2.0 * r / _PLANE_POINTS
-        self.idx = geom.window_index(self.x, r)
+        self.idx = geom.window_index(self.x, r, parent)
         stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
         self.n1, self.n2 = self._normal(self.idx[::stride])
+        self._whole, self._exact = stride == 1, {}    # no subsample; exact values by q
         self.workers = thread_count()
         self.candidates = 0
         self.rejected_early = 0
-        self._probe = (0, 0)         # plane and template row that rejected the last candidate
+        self._probes = [0, 0]        # per plane, the template row that last rejected a candidate
         t = _disc_lattice(self.spacing, r)
         p1, p2 = geom.planes
         self._template = []
@@ -278,21 +288,21 @@ class _WindowCtx:
 
         The value is max(set side, lattice side) / r, the set side taken
         by ``sup_to_pair`` over the points with complement coordinates
-        n1, n2.  The lattice side goes first, starting at the template
-        point that rejected the previous candidate if it is a lattice
+        n1, n2.  The lattice side goes first: in one query, each plane's
+        template row that last rejected a candidate, if it is a lattice
         point at q (so most rejected candidates never build their
         lattice), then plane by plane in chunks; the set side follows in
         one pass.  Partial sups only grow and division by r is monotone,
-        so a q that passes every chunk gets the very value a full
-        evaluation gives; with no bar nothing is rejected.
+        so a q that passes every query gets the very value a full
+        evaluation gives, in any order; with no bar nothing is rejected.
         """
-        r = self.r
-        m = 0.0
-        i, j = self._probe
-        base, o = self._anchor(q, i)
-        _, _, y, s = self._template[i]
-        if np.hypot(s[j, 0] + o[0], s[j, 1] + o[1]) <= r:
-            m = float(self.geom.tree.query(y[j] + base, workers=self.workers)[0])
+        r, m, probes = self.r, 0.0, []
+        for i, (j, (_, _, y, s)) in enumerate(zip(self._probes, self._template)):
+            base, o = self._anchor(q, i)
+            if np.hypot(*(s[j] + o)) <= r:
+                probes.append(y[j] + base)
+        if probes:
+            m = float(self.geom.tree.query(probes, workers=self.workers)[0].max())
             if m / r >= bar:
                 return None
         for i in (0, 1):
@@ -302,7 +312,7 @@ class _WindowCtx:
                 k = int(np.argmax(d))
                 m = max(m, float(d[k]))
                 if m / r >= bar:
-                    self._probe = (i, int(np.flatnonzero(keep)[a + k]))
+                    self._probes[i] = int(np.flatnonzero(keep)[a + k])
                     return None
         m = max(m, float(self.geom.sup_to_pair(n1, n2, q[None, :])[0]))
         return None if m / r >= bar else m / r
@@ -310,14 +320,23 @@ class _WindowCtx:
     def beats(self, q: np.ndarray, best_d: float) -> float | None:
         """Search value at q if it is below best_d - 1e-15, else None."""
         self.candidates += 1
-        d = self.value(q, self.n1, self.n2, best_d - 1e-15)
-        if d is None:
+        at_x = self._whole and np.array_equal(q, self.x)
+        d = self.exact_value(q) if at_x else self.value(q, self.n1, self.n2, best_d - 1e-15)
+        if d is None or d >= best_d - 1e-15:
             self.rejected_early += 1
+            return None
         return d
 
     def exact_value(self, q: np.ndarray) -> float:
-        """The window value at q over every point of the window."""
-        return self.value(q, *self._normal(self.idx))
+        """The window value at q over every point of the window, kept per q.
+
+        With no subsample, ``n1``, ``n2`` already are the window's projection,
+        the same matmul of the same rows; else all points are projected again,
+        as rows sliced from a BLAS product need not have its bits."""
+        if (key := tuple(q)) not in self._exact:
+            self._exact[key] = self.value(
+                q, *((self.n1, self.n2) if self._whole else self._normal(self.idx)))
+        return self._exact[key]
 
 
 def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
@@ -342,11 +361,8 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     return _search_translate(ctx, tol)
 
 
-def _search_translate(ctx: _WindowCtx, tol: float,
-                      at_x: float | None = None) -> tuple[np.ndarray, float]:
-    """The search of ``best_translation``.  ``at_x``, if given, is
-    ``ctx.exact_value(ctx.x)``, and it is returned when the search ends at
-    the window centre, so that value is not computed twice."""
+def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
+    """The search of ``best_translation``."""
     x, r = ctx.x, ctx.r
     if not len(ctx.idx):
         return x.copy(), 0.0
@@ -388,8 +404,6 @@ def _search_translate(ctx: _WindowCtx, tol: float,
             step *= 0.5
             if step < tol * r:
                 break
-    if at_x is not None and np.array_equal(best_q, x):
-        return best_q, at_x
     return best_q, ctx.exact_value(best_q)
 
 
@@ -405,9 +419,10 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     r_k = s_n with the distances over D(o_k, 2 r_k) and D(o_k,
     2 r_k (1 - 12 eps)).  A scale below the floor ends the loop, and the
     report returned then holds only the steps (floor_hit).  Each step runs
-    the fixed schedule of ``best_translation`` (3^4 coarse grid, 48
-    lattice points per window diameter, at most 24 rounds) at
-    tol = 1e-4 * eps.
+    the search of ``best_translation`` at tol = 1e-4 * eps.  As
+    |q_{n+1} - q_n|_inf <= s_n / 4, each window is cut from the last one's
+    points, and D(o_k, 2 r_k (1 - 12 eps)) from those of D(o_k, 2 r_k),
+    behind the guard of ``_PairGeometry.window_index``.
     """
     if not (0.0 < eps < 1.0):
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
@@ -417,11 +432,11 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
         )
     geom = _PairGeometry(e, *planes)
     steps: list[ScanStep] = []
-    n, q = 1, np.zeros(4)                           # q_1 = 0
+    n, q, ctx = 1, np.zeros(4), None                # q_1 = 0
     while (s := 2.0 ** (-n)) >= floor:
-        ctx = _WindowCtx(geom, q, s)
+        ctx = _WindowCtx(geom, q, s, ctx)
         carried = ctx.exact_value(q)
-        best_q, best_d = _search_translate(ctx, 1e-4 * eps, carried)
+        best_q, best_d = _search_translate(ctx, 1e-4 * eps)
         steps.append(ScanStep(n, q.copy(), s, carried, best_q.copy(), best_d,
                               len(ctx.idx), len(ctx.lattice(q)), ctx.candidates,
                               ctx.rejected_early))
@@ -429,9 +444,9 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
             shrink = 2.0 * s * (1.0 - 12.0 * eps)
             return ScanReport(
                 tuple(steps), eps, floor, e.resolution, o_k=q, r_k=s,
-                dist_shrunken=(_WindowCtx(geom, q, shrink).exact_value(q)
+                dist_double=(double := _WindowCtx(geom, q, 2.0 * s)).exact_value(q),
+                dist_shrunken=(_WindowCtx(geom, q, shrink, double).exact_value(q)
                                if shrink > 0 else None),
-                dist_double=_WindowCtx(geom, q, 2.0 * s).exact_value(q),
             )
         n, q = n + 1, best_q
     return ScanReport(tuple(steps), eps, floor, e.resolution)

@@ -241,8 +241,8 @@ def test_process_steps_equal_oracle_and_full_sample_windows(name, eps, floor, mo
     made = []
 
     class Recording(sc._WindowCtx):
-        def __init__(self, geom, x, r):
-            super().__init__(geom, x, r)
+        def __init__(self, geom, x, r, parent=None):
+            super().__init__(geom, x, r, parent)
             made.append((geom, self))
 
     monkeypatch.setattr(sc, "_WindowCtx", Recording)
@@ -367,10 +367,56 @@ def test_window_value_probes_only_lattice_points():
             rows = [*np.argsort(-out)[:3], int(np.argmin(out))]
             far += np.sum((out[rows] > r) & (geom.tree.query(y[rows] + base)[0] > exact * r))
             for j in rows:
-                ctx._probe = (i, int(j))
+                ctx._probes[i] = int(j)
                 assert ctx.value(q, ctx.n1, ctx.n2, exact + 1e-12) == exact
                 assert ctx.value(q, ctx.n1, ctx.n2, exact) is None
     assert far > 0
+
+
+def test_window_value_keeps_a_probe_per_plane():
+    # grid candidates of the orthogonal pair in D(0, 1/2): plane 1's translate
+    # follows q[2:], plane 2's q[:2].  The first moves plane 2 only and plane 2's
+    # chunks reject it, the second moves plane 1 only and plane 1's chunks
+    # reject it; the third moves plane 2 only, so plane 2's probe rejects it in
+    # one kd-tree query, with no pass over plane 1's lattice
+    geom = sc._PairGeometry(oracle_sample("exact"), *PLANES)
+    ctx = sc._WindowCtx(geom, np.zeros(4), 0.5)
+    tree, calls = geom.tree, []
+
+    class Counting:
+        def query(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return tree.query(*args, **kwargs)
+
+    geom.tree = Counting()
+    h = 0.5 / 4.0
+    for q in ([h, 0.0, 0.0, 0.0], [0.0, 0.0, h, 0.0], [0.0, h, 0.0, 0.0]):
+        calls.clear()
+        assert ctx.beats(np.array(q), 0.1) is None
+    assert calls == [2]
+    assert ctx.candidates == ctx.rejected_early == 3
+
+
+def test_window_cut_from_its_parent_only_inside_the_guard(monkeypatch):
+    # P1 holds (1, 1, 1, 1) / 2, so the box corner x + (r / 4)(1, 1, 1, 1) moves
+    # the half-size window by r / 2 along P1: it touches the parent's rim, and
+    # the guard's margin sends it to the whole sample, as it does a centre
+    # beyond the box, whose window leaves the parent.  A nearer child is cut
+    # from the parent's points; each window equals the whole-sample mask
+    planes = (gr.Plane(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]) / 2.0), gr.P02)
+    w = sc._disc_lattice(0.02, 1.0)
+    e = sc.SetSample(np.vstack([w @ p.basis for p in planes]), 0.02)
+    geom = sc._PairGeometry(e, *planes)
+    x, r = np.array([0.03, -0.02, 0.01, 0.04]), 0.5
+    parent = sc._WindowCtx(geom, x, r)
+    tested, mask = [], sc._in_bicylinder
+    monkeypatch.setattr(sc, "_in_bicylinder", lambda a, *rest: tested.append(len(a)) or mask(a, *rest))
+    for shift, cut_from in ((0.1, parent.idx), (0.25, e.points), (0.3, e.points)):
+        tested.clear()
+        child = sc._WindowCtx(geom, x + shift * r, r / 2.0, parent)
+        assert tested == [len(cut_from)]
+        assert np.array_equal(child.idx, np.flatnonzero(window_mask_oracle(geom, child.x, r / 2.0)))
+        assert np.isin(child.idx, parent.idx).all() == (shift < 0.3)
 
 
 @pytest.mark.parametrize("pair,distinct", [("orthogonal", (9, 9)), ("canonical", (9, 81)),
