@@ -24,8 +24,8 @@ __all__ = ["ConfigError", "NumericalError", "__version__", "thread_count"]
 def thread_count() -> int:
     """Worker threads from ``PLANES4_THREADS``: a positive integer, else 1.
 
-    One cap for every parallel path (the plateau pinch sweep and the
-    scanner's kd-tree queries); results are identical at any setting.
+    It caps the plateau pinch sweep, the one parallel path; results are
+    identical at any setting.
     """
     raw = os.environ.get("PLANES4_THREADS", "")
     try:

@@ -20,7 +20,7 @@ Flags are long-form only; a ``--config`` file in flat key=value form may
 supply any flag (command-line values win).  All randomness is drawn from
 SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
 so runs reproduce bit-for-bit across platforms and ports.  The env var
-PLANES4_THREADS caps sweep parallelism and kd-tree query threads.
+PLANES4_THREADS caps the threads of the plateau pinch sweep only.
 
 Exit codes: 0 success, 1 configuration error (among them a ``scan
 --density`` whose mesh sample would exceed 2^24 points, and an output

@@ -17,7 +17,9 @@ The scan itself walks dyadic scales s_n = 2^-n, fitting the best
 translate of the plane pair in each window.  It stops at the first scale
 where even the best translate misses by more than eps (plus the sampling
 tolerance); if the scale falls below the resolution floor first, the scan
-reports floor_hit instead.
+reports floor_hit instead.  A window that holds no sample point has the
+lattice side alone as its value, so a set that misses the window stops
+the scan there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import thread_count
 from .errors import ConfigError
 from .grassmann import Plane
 from .surfaces import TriMesh4
@@ -136,7 +137,8 @@ _PLANE_POINTS = 48       # plane-lattice points per window diameter
 _MAX_ROUNDS = 24         # coordinate-descent rounds at most
 
 #: lattice points per kd-tree query when a search candidate is evaluated
-#: against the incumbent
+#: against the incumbent; one query per plane's whole lattice made the
+#: scan_pinch benchmark scans about 3% slower on 2 cores
 _LATTICE_CHUNK = 512
 
 
@@ -225,7 +227,7 @@ class _WindowCtx:
     ``exact_value`` with no bar on all the window's points, and a window
     with no subsample reuses its carried value at x for the grid centre.
     ``candidates`` and ``rejected_early`` count the search's evaluations
-    in this window, and ``workers`` (read once) the kd-tree query threads.
+    in this window.
 
     The pair lattice is built once per window.  Its template is the disc
     of offsets T = (a, b) * spacing, |T| <= r, with ``_PLANE_POINTS``
@@ -248,7 +250,6 @@ class _WindowCtx:
         stride = max(1, int(np.ceil(len(self.idx) / _SEARCH_POINT_CAP)))
         self.n1, self.n2 = self._normal(self.idx[::stride])
         self._whole, self._exact = stride == 1, {}    # no subsample; exact values by q
-        self.workers = thread_count()
         self.candidates = 0
         self.rejected_early = 0
         self._probes = [0, 0]        # per plane, the template row that last rejected a candidate
@@ -302,13 +303,13 @@ class _WindowCtx:
             if np.hypot(*(s[j] + o)) <= r:
                 probes.append(y[j] + base)
         if probes:
-            m = float(self.geom.tree.query(probes, workers=self.workers)[0].max())
+            m = float(self.geom.tree.query(probes)[0].max())
             if m / r >= bar:
                 return None
         for i in (0, 1):
             lat, keep = self._plane_lattice(q, i)
             for a in range(0, len(lat), _LATTICE_CHUNK):
-                d = self.geom.tree.query(lat[a:a + _LATTICE_CHUNK], workers=self.workers)[0]
+                d = self.geom.tree.query(lat[a:a + _LATTICE_CHUNK])[0]
                 k = int(np.argmax(d))
                 m = max(m, float(d[k]))
                 if m / r >= bar:
@@ -339,8 +340,7 @@ class _WindowCtx:
         return self._exact[key]
 
 
-def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
-                     r: float, tol: float = 1e-6) -> tuple[np.ndarray, float]:
+def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
     """Minimize the relative distance to the translated pair over a 4d box.
 
     The translate is confined to the coordinate box |q - x|_inf <= r/4
@@ -353,19 +353,10 @@ def best_translation(e: SetSample, planes: tuple[Plane, Plane], x: np.ndarray,
     points per window diameter; it is built once per window and only
     translated per candidate (see ``_WindowCtx``).  Very large windows
     are subsampled for the search itself, but the returned distance is
-    the exact full-window value at the returned translate.  The window is
-    cut from the whole sample by one bi-cylinder mask, and its lattice
-    distances come from one kd-tree over the whole sample.
+    the exact full-window value at the returned translate.  A window with
+    no sample point is searched like any other, on its lattice side alone.
     """
-    ctx = _WindowCtx(_PairGeometry(e, *planes), x, r)
-    return _search_translate(ctx, tol)
-
-
-def _search_translate(ctx: _WindowCtx, tol: float) -> tuple[np.ndarray, float]:
-    """The search of ``best_translation``."""
     x, r = ctx.x, ctx.r
-    if not len(ctx.idx):
-        return x.copy(), 0.0
 
     half = r / 4.0
     ax = np.linspace(-half, half, _GRID_N)
@@ -419,7 +410,7 @@ def epsilon_process(e: SetSample, planes: tuple[Plane, Plane], eps: float,
     r_k = s_n with the distances over D(o_k, 2 r_k) and D(o_k,
     2 r_k (1 - 12 eps)).  A scale below the floor ends the loop, and the
     report returned then holds only the steps (floor_hit).  Each step runs
-    the search of ``best_translation`` at tol = 1e-4 * eps.  As
+    ``_search_translate`` at tol = 1e-4 * eps.  As
     |q_{n+1} - q_n|_inf <= s_n / 4, each window is cut from the last one's
     points, and D(o_k, 2 r_k (1 - 12 eps)) from those of D(o_k, 2 r_k),
     behind the guard of ``_PairGeometry.window_index``.
@@ -495,46 +486,24 @@ def _disc_lattice(spacing: float, radius: float, inner: float = 0.0) -> np.ndarr
     return w[(rr <= radius) & (rr >= inner)]
 
 
-def _tiered_disc(spacing: float, extent: float, fine_spacing: float | None,
-                 fine_radius: float) -> tuple[np.ndarray, float]:
-    """Disc lattice with an optional finer core, and its declared resolution."""
-    tiers = [_disc_lattice(spacing, extent, inner=fine_radius)]
-    res = spacing
+def _pair_sample(spacing: float, extent: float, fine_spacing: float | None,
+                 fine_radius: float, pinch_radius: float = 1.0,
+                 height: float = 0.0) -> SetSample:
+    """Tiered disc sample of the orthogonal pair P01, P02, bent by a bump.
+
+    The disc lattice of the base spacing, with an optional finer core;
+    the declared resolution is the core spacing when a core is requested,
+    while the far field keeps the base spacing.  Points of span(e1,e2)
+    inside the pinch radius are displaced along e3 by
+    height * (1 - (l/rho)^2)^2, and points of span(e3,e4) along e1 by the
+    same profile; height 0 leaves the exact pair.
+    """
+    from .grassmann import P01, P02
+    w, res = _disc_lattice(spacing, extent, inner=fine_radius), spacing
     if fine_spacing is not None and fine_radius > 0.0:
-        tiers.append(_disc_lattice(fine_spacing, fine_radius))
-        res = fine_spacing
-    return np.vstack(tiers), res
-
-
-def plane_pair_sample(spacing: float, extent: float = 1.2,
-                      fine_spacing: float | None = None,
-                      fine_radius: float = 0.0) -> SetSample:
-    """Sample of the orthogonal pair P01, P02, optionally with a finer core tier.
-
-    The declared resolution is the fine (core) spacing when a core is
-    requested; the far field keeps the base spacing.
-    """
-    from .grassmann import P01, P02
-    w, res = _tiered_disc(spacing, extent, fine_spacing, fine_radius)
-    pts = np.vstack([w @ P01.basis, w @ P02.basis])
-    return SetSample(pts, res)
-
-
-def pinched_pair_sample(pinch_radius: float, height: float, spacing: float,
-                        extent: float = 1.2,
-                        fine_spacing: float | None = None,
-                        fine_radius: float = 0.0) -> SetSample:
-    """Standard orthogonal pair with a smooth bump of given support and height.
-
-    Points of span(e1,e2) inside the pinch radius are displaced along e3
-    by height * (1 - (l/rho)^2)^2, and points of span(e3,e4) along e1 by
-    the same profile; the constructed deviation from every translate of
-    the pair is of order the bump height at scales around the pinch.
-    """
-    from .grassmann import P01, P02
-    if pinch_radius <= 0:
-        raise ValueError(f"pinch radius must be positive, got {pinch_radius}")
-    w, res = _tiered_disc(spacing, extent, fine_spacing, fine_radius)
+        w, res = np.vstack([w, _disc_lattice(fine_spacing, fine_radius)]), fine_spacing
+    if not height:              # a zero bump moves no point: skip its passes
+        return SetSample(np.vstack([w @ P01.basis, w @ P02.basis]), res)
     r = np.linalg.norm(w, axis=1)
     bump = np.where(r < pinch_radius,
                     height * (1.0 - (r / pinch_radius) ** 2) ** 2, 0.0)
@@ -543,3 +512,24 @@ def pinched_pair_sample(pinch_radius: float, height: float, spacing: float,
     pts2 = w @ P02.basis
     pts2[:, 0] += bump
     return SetSample(np.vstack([pts1, pts2]), res)
+
+
+def plane_pair_sample(spacing: float, extent: float = 1.2,
+                      fine_spacing: float | None = None,
+                      fine_radius: float = 0.0) -> SetSample:
+    """Sample of the orthogonal pair P01, P02, optionally with a finer core tier."""
+    return _pair_sample(spacing, extent, fine_spacing, fine_radius)
+
+
+def pinched_pair_sample(pinch_radius: float, height: float, spacing: float,
+                        extent: float = 1.2,
+                        fine_spacing: float | None = None,
+                        fine_radius: float = 0.0) -> SetSample:
+    """Standard orthogonal pair with a smooth bump of given support and height.
+
+    The constructed deviation from every translate of the pair is of order
+    the bump height at scales around the pinch (see ``_pair_sample``).
+    """
+    if pinch_radius <= 0:
+        raise ValueError(f"pinch radius must be positive, got {pinch_radius}")
+    return _pair_sample(spacing, extent, fine_spacing, fine_radius, pinch_radius, height)

@@ -332,8 +332,6 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
             d = float(pair_sup_oracle(geom, *normal(mask), q)[0])
         return max(d, lattice_sup(q)) / r
 
-    if not mask.any():
-        return x.copy(), 0.0, exact(x)
     half = r / 4.0
     ax = np.linspace(-half, half, _GRID_N)
     grid = x + np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)

@@ -167,6 +167,25 @@ def test_scan_detects_pinched_competitor_mesh(tmp_path):
     assert 0.0625 <= r_k <= 0.5
 
 
+def test_scan_stops_where_the_set_misses_the_window(tmp_path):
+    # the union shifted by 3 along e1 leaves D(0, 1/2) without a sample point:
+    # the window's value is its lattice side alone, so the scan stops at once
+    from planes4.surfaces import TriMesh4
+    mesh = build_union_mesh(np.pi / 2, np.pi / 2, 64)
+    mesh_path = tmp_path / "shifted.mesh4"
+    write_mesh4(mesh_path, TriMesh4(mesh.vertices + [3.0, 0.0, 0.0, 0.0], mesh.faces))
+    out = tmp_path / "scan"
+    rc = run_command(["scan", "--mesh", str(mesh_path), "--eps", "0.01",
+                      "--density", "0.04", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out / "results.csv")
+    fields = {line.split()[0]: line.split()[1:]
+              for line in (out / "record.txt").read_text().splitlines()}
+    assert fields["stopped"] == ["1"] and fields["window_points"] == ["0"]
+    assert len(rows) == 1 and float(fields["r_k"][0]) == 0.5
+    assert float(rows[0][header.index("best_dist")]) > 0.01
+
+
 def test_scan_missing_mesh_is_config_error(tmp_path):
     rc = run_command(["scan", "--mesh", str(tmp_path / "nope.mesh4"),
                       "--eps", "0.01", "--out", str(tmp_path / "o")])
@@ -252,7 +271,7 @@ def test_unusable_out_directory_is_config_error(tmp_path, capsys):
     assert "configuration error: cannot create --out directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, flag", [
+BAD_FLAG_VALUE = [
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "a,b"], "--pinch-sweep"),
     (["annulus", "--mode", "exact", "--r0", "0.5", "--acoef", "1,x"], "--acoef"),
     (["wirtinger", "--samples", "-5"], "--samples"),
@@ -264,7 +283,11 @@ def test_unusable_out_directory_is_config_error(tmp_path, capsys):
     (["bounds", "--alpha1", "nan", "--alpha2", "1"], "--alpha1"),
     (["plateau", "--alpha1", "1", "--alpha2", "1", "--pinch-sweep", "0.2000001,0.2000002"],
      "--pinch-sweep"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUE,
+                         ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUE])
 def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag):
     rc = run_command(argv + ["--out", str(tmp_path / "z")])
     assert rc == 1

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planes4 import grassmann as gr
@@ -20,6 +20,11 @@ PLANES = (gr.P01, gr.P02)
 
 def small_plane_sample(spacing=8e-3):
     return sc.plane_pair_sample(spacing=spacing, extent=1.2)
+
+
+def search(e, x, r, tol=1e-6):
+    """The translate search in the window D(x, r) of the whole sample e."""
+    return sc._search_translate(sc._WindowCtx(sc._PairGeometry(e, *PLANES), x, r), tol)
 
 
 # ------------------------------------------------------------------- clip
@@ -107,7 +112,7 @@ def test_nested_shell_contrast():
 def test_best_translation_recovers_exact_translate():
     v = np.array([0.01, -0.02, 0.015, 0.005])
     e = sc.SetSample(small_plane_sample(4e-3).points + v, 4e-3)
-    q, d = sc.best_translation(e, PLANES, np.zeros(4), 1.0, tol=1e-7)
+    q, d = search(e, np.zeros(4), 1.0, tol=1e-7)
     assert np.linalg.norm(q - v) <= 5e-3
     assert d <= 2e-3 + e.resolution
 
@@ -116,21 +121,26 @@ def test_best_translation_bump_scales_like_height_over_radius():
     rho, height = 0.05, 0.02
     e = sc.pinched_pair_sample(rho, height, spacing=4e-3)
     for r in (1.0, 0.5):
-        _, d = sc.best_translation(e, PLANES, np.zeros(4), r, tol=1e-6)
+        _, d = search(e, np.zeros(4), r)
         assert d == pytest.approx(height / r, rel=0.25)
 
 
 def test_best_translation_empty_window():
+    # D(0, 1/2) holds no sample point, so the value is the lattice side alone:
+    # the farthest point of the pair lattice at q from the sample
+    from scipy.spatial import cKDTree
     e = sc.SetSample(np.array([[5.0, 5.0, 5.0, 5.0]]), 0.01)
-    q, d = sc.best_translation(e, PLANES, np.zeros(4), 0.5)
-    assert d == 0.0
-    assert np.array_equal(q, np.zeros(4))
+    ctx = sc._WindowCtx(sc._PairGeometry(e, *PLANES), np.zeros(4), 0.5)
+    q, d = sc._search_translate(ctx, 1e-6)
+    assert d > 0
+    lat = pair_lattice_oracle(PLANES, np.zeros(4), 0.5, q, ctx.spacing)
+    assert d * 0.5 == pytest.approx(float(cKDTree(e.points).query(lat)[0].max()), rel=1e-12)
 
 
 def test_best_translation_deterministic():
     e = sc.pinched_pair_sample(0.1, 0.02, spacing=6e-3)
-    a = sc.best_translation(e, PLANES, np.zeros(4), 0.5)
-    b = sc.best_translation(e, PLANES, np.zeros(4), 0.5)
+    a = search(e, np.zeros(4), 0.5)
+    b = search(e, np.zeros(4), 0.5)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
@@ -178,7 +188,7 @@ ORACLE_SAMPLES = ("exact", "translated", "pinched", "outlier", "flat_mesh", "pin
 
 def assert_search_matches_oracle(name, x, r):
     e = oracle_sample(name)
-    q, d = sc.best_translation(e, PLANES, x, r, tol=1e-3)
+    q, d = search(e, x, r, tol=1e-3)
     oq, od, _ = search_translate_oracle(e, PLANES, x, r, tol=1e-3)
     assert np.array_equal(q, oq), (name, x, r, q, oq)
     assert d == od, (name, x, r, d, od)
@@ -226,6 +236,7 @@ def test_exact_value_peak_memory_on_a_392k_point_window():
 
 
 @settings(max_examples=10, deadline=None)
+@example("exact", [0.0, 0.125, 0.125, 0.0], 0.0625)          # a window with no sample point
 @given(st.sampled_from(ORACLE_SAMPLES[:-1]),
        st.lists(st.floats(-0.15, 0.15), min_size=4, max_size=4),
        st.sampled_from([0.5, 0.25, 0.0625]))
@@ -283,20 +294,6 @@ def test_lattice_nearest_matches_brute_force(with_core_point):
         # an empty set side leaves the lattice side of the window value
         assert ctx.value(q, np.empty((0, 2)), np.empty((0, 2))) * r == pytest.approx(
             float(brute.max()), rel=1e-12)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_window_reads_thread_count_once(threads, monkeypatch):
-    # every kd-tree query of a window runs on the count read when it was made,
-    # and the search returns the same bits at any count
-    e = oracle_sample("pinched")
-    x = np.array([0.03, -0.02, 0.01, 0.04])
-    want = sc.best_translation(e, PLANES, x, 0.25, tol=1e-3)
-    reads = []
-    monkeypatch.setattr(sc, "thread_count", lambda: reads.append(threads) or threads)
-    q, d = sc.best_translation(e, PLANES, x, 0.25, tol=1e-3)
-    assert reads == [threads]
-    assert np.array_equal(q, want[0]) and d == want[1]
 
 
 def _bicylinder_radius(planes, x, pts):
