@@ -286,8 +286,7 @@ BAD_FLAG_VALUE = [
 ]
 
 
-@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUE,
-                         ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUE])
+@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUE)
 def test_bad_flag_value_is_config_error_naming_flag(tmp_path, capsys, argv, flag):
     rc = run_command(argv + ["--out", str(tmp_path / "z")])
     assert rc == 1
