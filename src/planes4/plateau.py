@@ -14,9 +14,11 @@ the closed unit ball.  Its area-and-gradient kernel is coordinate-major:
 each edge coordinate, wedge coefficient and gradient coordinate is one
 contiguous row over the faces, summed in the grouping of the row-major
 ``exterior.wedge``/einsum/``np.add.at`` oracle, so its bits equal the
-oracle's.  Its schedule is fixed: the step starts at 0.01,
-and the descent stops as converged once the free-vertex gradient norm
-falls below ``TOL_GRAD`` = 1e-6; only the iteration cap varies.
+oracle's.  Each descent builds its own kernel, whose buffers every step
+reuses, so the pinch sweep's threads share none.  Its schedule is fixed:
+the step starts at 0.01, and the descent stops as converged once the
+free-vertex gradient norm falls below ``TOL_GRAD`` = 1e-6; only the
+iteration cap varies.
 ``certificate_lower_bound`` reads the shadow inequality backwards:
 it takes the two shadow areas and lambda from
 ``surfaces.projection_inequality_report`` and returns the area floor
@@ -169,50 +171,85 @@ def build_competitor(cfg: ExperimentConfig) -> TriMesh4:
             f"{cfg.boundary_segments} segments give a degenerate competitor: {exc}") from exc
 
 
-def _wedge_apply(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows A x for the antisymmetric matrices A of the 2-vectors w.
+class _AreaGradient:
+    """Area and vertex gradient of meshes on one face list, in reused buffers.
 
-    Coordinate-major: w is (6, m), one row per basis pair in
-    ``exterior.BASIS`` order, x is (4, m), and the result is (4, m).
-    A[i, j] = w[k] = -A[j, i] for basis pair k = (i, j).  Each output row
-    sums its three terms as (b0 + b2) + (b1 + b3) over column b with the
-    zero diagonal term dropped, the grouping of numpy's einsum
-    "fab,fb->fa" on 4 columns, so results match it bit for bit.
+    An evaluation allocates only its result: each call returns a fresh
+    gradient, as the descent keeps the accepted one while it evaluates the
+    next trial.  Every operation keeps the operands and grouping of the
+    oracle, and the gradient is built one coordinate at a time.
     """
-    w0, w1, w2, w3, w4, w5 = w
-    x0, x1, x2, x3 = x
-    out = np.empty_like(x)
-    out[0] = w1 * x2 + (w0 * x1 + w2 * x3)
-    out[1] = (w3 * x2 - w0 * x0) + w4 * x3
-    out[2] = -(w1 * x0) + (w5 * x3 - w3 * x1)
-    out[3] = (-(w2 * x0) - w5 * x2) - w4 * x1
-    return out
+
+    def __init__(self, faces: np.ndarray, nv: int):
+        m = len(faces)
+        self._corners = np.ascontiguousarray(faces.T)       # (3, m)
+        self._vt = np.empty((4, nv))
+        self._p = np.empty((4, 3, m))        # corner coordinates, then edge rows
+        self._w = np.empty((6, m))           # wedge coefficients
+        self._s = np.empty((4, m))           # norm, denominator, two scratch rows
+        self._g = np.empty((3, m))           # one gradient coordinate, per corner
+
+    def _wedge_row(self, a: int, x: np.ndarray, out: np.ndarray) -> None:
+        """Row a of A x into out, where A[i, j] = w[k] = -A[j, i] for basis pair k = (i, j).
+
+        The terms add as (b0 + b2) + (b1 + b3) over column b, with the zero
+        diagonal term dropped: the grouping of numpy's einsum "fab,fb->fa".
+        """
+        w0, w1, w2, w3, w4, w5 = self._w
+        x0, x1, x2, x3 = x
+        t = self._s[3]
+        mul, add, sub = np.multiply, np.add, np.subtract
+        if a == 0:                           # w1 x2 + (w0 x1 + w2 x3)
+            mul(w0, x1, out=out)
+            add(out, mul(w2, x3, out=t), out=out)
+            add(mul(w1, x2, out=t), out, out=out)
+        elif a == 1:                         # (w3 x2 - w0 x0) + w4 x3
+            sub(mul(w3, x2, out=out), mul(w0, x0, out=t), out=out)
+            add(out, mul(w4, x3, out=t), out=out)
+        elif a == 2:                         # -(w1 x0) + (w5 x3 - w3 x1)
+            sub(mul(w5, x3, out=out), mul(w3, x1, out=t), out=out)
+            add(np.negative(mul(w1, x0, out=t), out=t), out, out=out)
+        else:                                # (-(w2 x0) - w5 x2) - w4 x1
+            np.negative(mul(w2, x0, out=out), out=out)
+            sub(out, mul(w5, x2, out=t), out=out)
+            sub(out, mul(w4, x1, out=t), out=out)
+
+    def __call__(self, verts: np.ndarray) -> tuple[float, np.ndarray]:
+        p, w, g = self._p, self._w, self._g
+        n, den, t = self._s[0], self._s[1], self._s[2]
+        np.copyto(self._vt, verts.T)
+        # the faces are valid indices, so clip changes nothing; unlike the
+        # default mode it writes into p without a buffer
+        np.take(self._vt, self._corners, axis=1, out=p, mode="clip")
+        u = np.subtract(p[:, 1], p[:, 0], out=p[:, 1])
+        v = np.subtract(p[:, 2], p[:, 0], out=p[:, 2])
+        for k, (i, j) in enumerate(exterior.BASIS):  # the rows of exterior.wedge(u, v)
+            np.subtract(np.multiply(u[i], v[j], out=w[k]),
+                        np.multiply(u[j], v[i], out=t), out=w[k])
+        # the six squares add left to right, as np.sum(w * w, axis=1) adds
+        # the six squares of one face
+        np.multiply(w[0], w[0], out=n)
+        for k in range(1, 6):
+            np.add(n, np.multiply(w[k], w[k], out=t), out=n)
+        np.sqrt(n, out=n)
+        total = 0.5 * float(np.sum(n))
+        np.multiply(2.0, np.maximum(n, 1e-30, out=den), out=den)
+        grad = np.empty_like(verts)
+        for c in range(4):
+            self._wedge_row(c, v, g[1])
+            np.divide(g[1], den, out=g[1])
+            self._wedge_row(c, u, g[2])
+            np.divide(np.negative(g[2], out=g[2]), den, out=g[2])
+            np.negative(np.add(g[1], g[2], out=g[0]), out=g[0])
+            # bincount adds in input order, corner 0 of every face first, like add.at
+            grad[:, c] = np.bincount(self._corners.reshape(-1), weights=g.reshape(-1),
+                                     minlength=len(verts))
+        return total, grad
 
 
 def _area_and_gradient(verts: np.ndarray, faces: np.ndarray):
-    corners = np.ascontiguousarray(faces.T)          # (3, m)
-    p = np.take(np.ascontiguousarray(verts.T), corners, axis=1)
-    u = p[:, 1] - p[:, 0]                            # (4, m) edge rows
-    v = p[:, 2] - p[:, 0]
-    w = np.empty((6, len(faces)))
-    for k, (i, j) in enumerate(exterior.BASIS):      # the rows of exterior.wedge(u, v)
-        w[k] = u[i] * v[j] - u[j] * v[i]
-    # the builtin sum adds the six rows left to right, as np.sum(w * w, axis=1)
-    # adds the six squares of one face
-    n = np.sqrt(sum(w * w))
-    total = 0.5 * float(np.sum(n))
-    den = 2.0 * np.maximum(n, 1e-30)
-    g = np.empty((4, 3, len(faces)))                 # coordinate, corner, face
-    g[:, 1] = _wedge_apply(w, v) / den
-    g[:, 2] = -_wedge_apply(w, u) / den
-    g[:, 0] = -(g[:, 1] + g[:, 2])
-    # bincount adds in input order, corner 0 of every face first, like add.at
-    idx = corners.reshape(-1)
-    g = g.reshape(4, -1)
-    grad = np.empty_like(verts)
-    for c in range(4):
-        grad[:, c] = np.bincount(idx, weights=g[c], minlength=len(verts))
-    return total, grad
+    """One-shot area and vertex gradient, as one ``_AreaGradient`` call."""
+    return _AreaGradient(faces, len(verts))(verts)
 
 
 def _retract_to_ball(verts: np.ndarray, free: np.ndarray) -> None:
@@ -237,7 +274,8 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
         raise ValueError("mesh has no fixed boundary vertices")
     verts = mesh.vertices.copy()
     free = np.flatnonzero(~mesh.fixed)
-    current, grad = _area_and_gradient(verts, mesh.faces)
+    evaluate = _AreaGradient(mesh.faces, len(verts))
+    current, grad = evaluate(verts)
     trace = [current]
     step = _STEP
     stopped = "max-iters"
@@ -254,7 +292,7 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
             # sqrt(1) = 1, this admits every row that _retract_to_ball moves
             if (np.sum(trial * trial, axis=1)[free] > 1.0).any():
                 _retract_to_ball(trial, free)
-            val, g = _area_and_gradient(trial, mesh.faces)
+            val, g = evaluate(trial)
             if val < current:
                 verts, current, grad = trial, val, g
                 gnorm = _free_grad_norm(grad, free)

@@ -530,6 +530,6 @@ def pinched_pair_sample(pinch_radius: float, height: float, spacing: float,
     The constructed deviation from every translate of the pair is of order
     the bump height at scales around the pinch (see ``_pair_sample``).
     """
-    if pinch_radius <= 0:
+    if not pinch_radius > 0:
         raise ValueError(f"pinch radius must be positive, got {pinch_radius}")
     return _pair_sample(spacing, extent, fine_spacing, fine_radius, pinch_radius, height)

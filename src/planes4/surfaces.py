@@ -5,7 +5,10 @@ A mesh is vertices (n, 4), faces (m, 3) of vertex indices, and a per-vertex
 Face areas use the wedge-product norm; ``shadow_area`` rasterizes the
 projected triangles and counts covered cells once, so it measures the
 image set (multiplicity collapsed), on a grid of ``SHADOW_RESOLUTION``
-cells per unit length.  The rasterization error is
+cells per unit length.  The rasterizer batches triangles by the shape of
+their cell boxes, so each batch is one (triangle, column, row) block, and
+it tests the same (triangle, cell) pairs with the same arithmetic as a
+per-triangle loop, bit for bit.  The rasterization error is
 O(perimeter / SHADOW_RESOLUTION) and always reported conservatively by
 callers.  ``projection_inequality_report`` is the one place that computes
 the parts of the shadow inequality shadow1 + shadow2 <= lambda * area (the
@@ -79,12 +82,14 @@ class TriMesh4:
         e = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
                             self.faces[:, [2, 0]]])
         e.sort(axis=1)
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        boundary = uniq[counts == 1]
-        if not self.fixed[boundary.ravel()].all():
+        nv = len(self.vertices)
+        # one int64 key per edge sorts as the rows do, and np.unique on
+        # keys is much faster than on rows (axis=0)
+        keys, counts = np.unique(e[:, 0] * nv + e[:, 1], return_counts=True)
+        ends = np.concatenate(np.divmod(keys[counts == 1], nv))   # boundary edge ends
+        if not self.fixed[ends].all():
             raise ValueError("mesh boundary contains non-fixed vertices")
-        deg = np.zeros(len(self.vertices), dtype=int)
-        np.add.at(deg, boundary.ravel(), 1)
+        deg = np.bincount(ends, minlength=nv)
         if not (deg[self.fixed] == 2).all():
             raise ValueError("fixed vertices do not form closed boundary polylines")
 
@@ -129,8 +134,9 @@ def shadow_area(mesh: TriMesh4, plane: Plane) -> float:
         return 0.0
     cell = 1.0 / SHADOW_RESOLUTION
     tris = (mesh.vertices @ plane.basis.T)[mesh.faces]     # (m, 3, 2)
-    lo = tris.reshape(-1, 2).min(axis=0) - cell
-    hi = tris.reshape(-1, 2).max(axis=0) + cell
+    xs, ys = tris[:, :, 0], tris[:, :, 1]
+    lo = np.array([xs.min(), ys.min()]) - cell
+    hi = np.array([xs.max(), ys.max()]) + cell
     nx = int(np.ceil((hi[0] - lo[0]) / cell)) + 1
     ny = int(np.ceil((hi[1] - lo[1]) / cell)) + 1
     bitmap = _shadow_bitmap(tris, lo, (nx, ny), cell)
@@ -138,7 +144,8 @@ def shadow_area(mesh: TriMesh4, plane: Plane) -> float:
 
 
 #: cells tested per rasterizer batch; it bounds the batch temporaries
-#: (about 20 arrays of this length), which set the kernel's peak memory
+#: (about ten (triangle, column, row) arrays of this size), which set the
+#: kernel's peak memory
 _RASTER_CHUNK = 1 << 12
 
 
@@ -149,40 +156,61 @@ def _shadow_bitmap(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
     A triangle tests the cells of its bounding box, clipped to the grid,
     by its three edge functions over its determinant ``d`` with slack
     1e-12; triangles with ``|d| < 1e-30`` have a measure-zero shadow and
-    are skipped.  The boxes are expanded into (triangle, cell) pairs in
-    batches of ``_RASTER_CHUNK`` cells.
+    are skipped.  Triangles are batched by box shape, each side rounded up
+    to even so that few shapes remain, as (triangle, column, row) blocks
+    of at most ``_RASTER_CHUNK`` cells; a box above that size goes alone,
+    a few columns at a time.  The padded cells past a box are masked out,
+    so the tested (triangle, cell) pairs are exactly the clipped boxes'.
+    Each edge function takes its row factor once per (triangle, row) and
+    its column factor once per (triangle, column).
     """
     nx, ny = shape
     bitmap = np.zeros(nx * ny, dtype=bool)
-    x0, y0 = tris[:, 0, 0], tris[:, 0, 1]
-    x1, y1 = tris[:, 1, 0], tris[:, 1, 1]
-    x2, y2 = tris[:, 2, 0], tris[:, 2, 1]
+    x0, x1, x2 = tris[:, :, 0].T
+    y0, y1, y2 = tris[:, :, 1].T
     d = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    i0 = np.maximum(0, np.floor((tris[:, :, 0].min(axis=1) - lo[0]) / cell).astype(np.int64))
-    i1 = np.minimum(nx - 1, np.ceil((tris[:, :, 0].max(axis=1) - lo[0]) / cell).astype(np.int64))
-    j0 = np.maximum(0, np.floor((tris[:, :, 1].min(axis=1) - lo[1]) / cell).astype(np.int64))
-    j1 = np.minimum(ny - 1, np.ceil((tris[:, :, 1].max(axis=1) - lo[1]) / cell).astype(np.int64))
+
+    def cells(edge, c0, c1, c2, count):
+        # elementwise over the three corners: min(axis=1) over rows of three is slower
+        low = np.floor((np.minimum(np.minimum(c0, c1), c2) - edge) / cell).astype(np.int64)
+        high = np.ceil((np.maximum(np.maximum(c0, c1), c2) - edge) / cell).astype(np.int64)
+        return np.maximum(0, low), np.minimum(count - 1, high)
+
+    i0, i1 = cells(lo[0], x0, x1, x2, nx)
+    j0, j1 = cells(lo[1], y0, y1, y2, ny)
     live = np.flatnonzero((np.abs(d) >= 1e-30) & (i1 >= i0) & (j1 >= j0))
-    height = (j1 - j0 + 1)[live]
-    count = (i1 - i0 + 1)[live] * height
-    ends = np.cumsum(count)
-    starts = ends - count
-    cx = lo[0] + (np.arange(nx) + 0.5) * cell
-    cy = lo[1] + (np.arange(ny) + 0.5) * cell
-    total = int(ends[-1]) if len(ends) else 0
-    for first in range(0, total, _RASTER_CHUNK):
-        ids = np.arange(first, min(first + _RASTER_CHUNK, total))
-        r = np.searchsorted(ends, ids, side="right")
-        t = live[r]
-        off = ids - starts[r]
-        i = i0[t] + off // height[r]
-        j = j0[t] + off % height[r]
-        x, y, dt = cx[i], cy[j], d[t]
-        ax, ay, bx, by, ex, ey = x0[t], y0[t], x1[t], y1[t], x2[t], y2[t]
-        inside = ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / dt >= -1e-12
-        inside &= ((ex - bx) * (y - by) - (ey - by) * (x - bx)) / dt >= -1e-12
-        inside &= ((ax - ex) * (y - ey) - (ay - ey) * (x - ex)) / dt >= -1e-12
-        bitmap[(i * ny + j)[inside]] = True
+    width = (i1 - i0 + 2)[live] & ~1                  # box sides rounded up to even
+    height = (j1 - j0 + 2)[live] & ~1
+    key = width * (ny + 2) + height
+    order = np.argsort(key, kind="stable")
+    t = live[order]                                   # triangles grouped by shape
+    width, height = width[order], height[order]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    i0, i1, j0, j1, d = i0[t, None], i1[t, None], j0[t, None], j1[t, None], d[t, None, None]
+    # edge k runs from corner k to corner k + 1: its start a and its vector
+    # e, as (x or y, edge, triangle, 1)
+    a = tris[t].transpose(2, 1, 0)[..., None]
+    e = np.empty_like(a)            # filled in place: a temporary raised peak RSS
+    np.subtract(a[:, 1:], a[:, :2], out=e[:, :2])
+    np.subtract(a[:, 0], a[:, 2], out=e[:, 2])
+    # one centre past each grid edge: a padded box may reach it, masked out
+    cx = lo[0] + (np.arange(nx + 1) + 0.5) * cell
+    cy = lo[1] + (np.arange(ny + 1) + 0.5) * cell
+    for lo_g, hi_g in zip(starts, np.append(starts[1:], len(t))):
+        w, h = int(width[lo_g]), int(height[lo_g])
+        per = max(1, _RASTER_CHUNK // (w * h))        # triangles per batch
+        step = max(1, _RASTER_CHUNK // (per * h))     # columns per batch
+        for first in range(lo_g, hi_g, per):
+            b = slice(first, min(first + per, hi_g))
+            j = j0[b] + np.arange(h)                  # (triangles, rows)
+            rows = e[0, :, b] * (cy[j] - a[1, :, b])  # (edge, triangles, rows)
+            for c in range(0, w, step):
+                i = i0[b] + np.arange(c, min(c + step, w))   # (triangles, columns)
+                cols = e[1, :, b] * (cx[i] - a[0, :, b])
+                ok = (rows[:, :, None, :] - cols[:, :, :, None]) / d[b] >= -1e-12
+                inside = ok[0] & ok[1] & ok[2]
+                inside &= (i <= i1[b])[:, :, None] & (j <= j1[b])[:, None, :]
+                bitmap[((i * ny)[:, :, None] + j[:, None, :])[inside]] = True
     return bitmap.reshape(nx, ny)
 
 

@@ -98,8 +98,8 @@ def _perturbed(mesh, rng, scale):
     return verts
 
 
-def _assert_kernel_matches_oracle(verts, faces):
-    total, grad = pl._area_and_gradient(verts, faces)
+def _assert_kernel_matches_oracle(verts, faces, result=None):
+    total, grad = pl._area_and_gradient(verts, faces) if result is None else result
     want_total, want_grad = area_gradient_oracle(verts, faces)
     assert total == want_total
     assert np.array_equal(grad, want_grad)
@@ -123,6 +123,23 @@ def test_area_gradient_matches_oracle_bitwise():
     collapsed = (p[:, 0] == p[:, 1]).all(axis=1) | (p[:, 0] == p[:, 2]).all(axis=1)
     assert np.flatnonzero(collapsed).tolist() == [0, 63]
     _assert_kernel_matches_oracle(verts, m.faces)
+
+
+def test_area_gradient_evaluator_is_reusable():
+    # one evaluator applied to A, B, then A again: each result is the
+    # oracle's, and the call on B neither writes into the gradient returned
+    # for A nor leaves a buffer behind that the second call on A reads
+    rng = np.random.default_rng(73)
+    m = pl.build_pinched_competitor(np.pi / 6, np.pi / 3, 0.2, 64)
+    a, b = _perturbed(m, rng, 3e-2), _perturbed(m, rng, 3e-2)
+    evaluate = pl._AreaGradient(m.faces, len(a))
+    first = evaluate(a)
+    kept = first[1].copy()
+    second = evaluate(b)
+    assert first[1].tobytes() == kept.tobytes()
+    third = evaluate(a)
+    for verts, result in ((a, first), (b, second), (a, third)):
+        _assert_kernel_matches_oracle(verts, m.faces, result)
 
 
 def test_area_gradient_central_differences():

@@ -558,6 +558,8 @@ def test_scan_inputs_reject_nan():
         sc.epsilon_process(e, PLANES, 0.05, float("nan"))
     with pytest.raises(ConfigError, match="spacing must be positive, got nan"):
         sc.sample_mesh(fan_disk(8, gr.P01), float("nan"))
+    with pytest.raises(ValueError, match="pinch radius must be positive, got nan"):
+        sc.pinched_pair_sample(float("nan"), 0.01, 0.05)
 
 
 # -------------------------------------------------------------- mesh sample

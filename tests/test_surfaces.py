@@ -33,6 +33,27 @@ def test_mesh_validation_catches_bad_input():
         sf.TriMesh4(m.vertices, m.faces, ~m.fixed)
 
 
+# the 256-segment pinched competitor has 22 rings of 256 vertices per disk,
+# innermost first: vertex 256 * 22 - 1 ends the first disk's fixed outer
+# ring, and vertex 256 * 5 lies on one of its free inner rings
+@pytest.mark.parametrize("flip, message", [
+    (None, "mesh boundary contains non-fixed vertices"),
+    (256 * 22 - 1, "mesh boundary contains non-fixed vertices"),
+    (256 * 5, "fixed vertices do not form closed boundary polylines"),
+], ids=["fan-centre-fixed-rim-free", "pinched-rim-vertex-free", "pinched-inner-vertex-fixed"])
+def test_mesh_validation_checks_boundary_polylines(flip, message):
+    from planes4.plateau import build_pinched_competitor
+    if flip is None:
+        m = fan_disk(16, gr.P01)
+        fixed = ~m.fixed
+    else:
+        m = build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 256)
+        fixed = m.fixed.copy()
+        fixed[flip] = not fixed[flip]
+    with pytest.raises(ValueError, match=message):
+        sf.TriMesh4(m.vertices, m.faces, fixed)
+
+
 def test_empty_mesh_has_zero_area():
     m = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
     assert sf.area(m) == 0.0
@@ -267,6 +288,25 @@ def test_shadow_bitmap_clips_at_grid_edge():
     assert not _marked([[[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]]]).any()
     corner = _marked([[[0.9, 0.9], [1.5, 0.9], [0.9, 1.5]]])
     assert corner[-1, -1] and corner.sum() == 8 * 8
+
+
+def test_shadow_bitmap_matches_oracle_on_mixed_box_shapes():
+    # a few hundred triangles with boxes of many shapes, so that batches of
+    # every size run; one box of about 115 x 118 cells, more than one batch
+    # may test; and boxes of odd width or height clipped at the right or top
+    # edge of the grid, whose rounding to even pads them past column 129 or
+    # row 129
+    rng = np.random.default_rng(74)
+    centres = rng.uniform(-1.2, 1.2, size=(300, 1, 2))
+    sizes = np.exp(rng.uniform(np.log(0.005), np.log(0.4), size=(300, 1, 1)))
+    tris = list(centres + sizes * rng.normal(size=(300, 3, 2)))
+    tris.append([[-0.9, -0.9], [0.9, -0.8], [0.0, 0.95]])
+    assert sf._RASTER_CHUNK < 115 * 118
+    tris.append([[1.01, -0.5], [1.6, -0.5], [1.01, 0.5]])       # column 129 only
+    tris.append([[-0.5, 1.01], [0.5, 1.01], [-0.5, 1.6]])       # row 129 only
+    tris.append([[1.01, 1.01], [1.6, 1.01], [1.01, 1.6]])       # cell (129, 129)
+    got = _marked(tris)
+    assert got[129, 32:97].all() and got[32:97, 129].all() and got[129, 129]
 
 
 # --------------------------------------------------- projection inequality
