@@ -292,8 +292,8 @@ def test_shadow_bitmap_clips_at_grid_edge():
 
 def test_shadow_bitmap_matches_oracle_on_mixed_box_shapes():
     # a few hundred triangles with boxes of many shapes, so that batches of
-    # every size run; one box of about 115 x 118 cells, more than one batch
-    # may test; and boxes of odd width or height clipped at the right or top
+    # every size run; one box of 118 x 121 cells, more than one batch may
+    # test; and boxes of odd width or height clipped at the right or top
     # edge of the grid, whose rounding to even pads them past column 129 or
     # row 129
     rng = np.random.default_rng(74)
@@ -301,7 +301,7 @@ def test_shadow_bitmap_matches_oracle_on_mixed_box_shapes():
     sizes = np.exp(rng.uniform(np.log(0.005), np.log(0.4), size=(300, 1, 1)))
     tris = list(centres + sizes * rng.normal(size=(300, 3, 2)))
     tris.append([[-0.9, -0.9], [0.9, -0.8], [0.0, 0.95]])
-    assert sf._RASTER_CHUNK < 115 * 118
+    assert sf._RASTER_CHUNK < 118 * 121
     tris.append([[1.01, -0.5], [1.6, -0.5], [1.01, 0.5]])       # column 129 only
     tris.append([[-0.5, 1.01], [0.5, 1.01], [-0.5, 1.6]])       # row 129 only
     tris.append([[1.01, 1.01], [1.6, 1.01], [1.01, 1.6]])       # cell (129, 129)
