@@ -247,11 +247,6 @@ class _AreaGradient:
         return total, grad
 
 
-def _area_and_gradient(verts: np.ndarray, faces: np.ndarray):
-    """One-shot area and vertex gradient, as one ``_AreaGradient`` call."""
-    return _AreaGradient(faces, len(verts))(verts)
-
-
 def _retract_to_ball(verts: np.ndarray, free: np.ndarray) -> None:
     """Radially pull the rows ``free`` (indices) of verts back into the unit ball."""
     norms = np.linalg.norm(verts[free], axis=1)

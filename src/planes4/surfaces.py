@@ -5,10 +5,10 @@ A mesh is vertices (n, 4), faces (m, 3) of vertex indices, and a per-vertex
 Face areas use the wedge-product norm; ``shadow_area`` rasterizes the
 projected triangles and counts covered cells once, so it measures the
 image set (multiplicity collapsed), on a grid of ``SHADOW_RESOLUTION``
-cells per unit length.  The rasterizer batches triangles by the shape of
-their cell boxes, so each batch is one (triangle, column, row) block, and
-it tests the same (triangle, cell) pairs with the same arithmetic as a
-per-triangle loop, bit for bit.  The rasterization error is
+cells per unit length.  The rasterizer batches triangles by the exact
+shape of their clipped cell boxes, one (triangle, column, row) block a
+batch, and tests the same (triangle, cell) pairs with the same arithmetic
+as a per-triangle loop, bit for bit.  The rasterization error is
 O(perimeter / SHADOW_RESOLUTION) and always reported conservatively by
 callers.  ``projection_inequality_report`` is the one place that computes
 the parts of the shadow inequality shadow1 + shadow2 <= lambda * area (the
@@ -156,13 +156,11 @@ def _shadow_bitmap(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
     A triangle tests the cells of its bounding box, clipped to the grid,
     by its three edge functions over its determinant ``d`` with slack
     1e-12; triangles with ``|d| < 1e-30`` have a measure-zero shadow and
-    are skipped.  Triangles are batched by box shape, each side rounded up
-    to even so that few shapes remain, as (triangle, column, row) blocks
-    of at most ``_RASTER_CHUNK`` cells; a box above that size goes alone,
-    a few columns at a time.  The padded cells past a box are masked out,
-    so the tested (triangle, cell) pairs are exactly the clipped boxes'.
-    Each edge function takes its row factor once per (triangle, row) and
-    its column factor once per (triangle, column).
+    are skipped.  Triangles are batched by clipped box shape, as
+    (triangle, column, row) blocks of at most ``_RASTER_CHUNK`` cells; a
+    box above that size goes alone, a few columns at a time.  Each edge
+    function takes its row factor once per (triangle, row) and its column
+    factor once per (triangle, column).
     """
     nx, ny = shape
     bitmap = np.zeros(nx * ny, dtype=bool)
@@ -179,37 +177,38 @@ def _shadow_bitmap(tris: np.ndarray, lo: np.ndarray, shape: tuple[int, int],
     i0, i1 = cells(lo[0], x0, x1, x2, nx)
     j0, j1 = cells(lo[1], y0, y1, y2, ny)
     live = np.flatnonzero((np.abs(d) >= 1e-30) & (i1 >= i0) & (j1 >= j0))
-    width = (i1 - i0 + 2)[live] & ~1                  # box sides rounded up to even
-    height = (j1 - j0 + 2)[live] & ~1
-    key = width * (ny + 2) + height
+    width = (i1 - i0 + 1)[live]
+    height = (j1 - j0 + 1)[live]
+    key = width * (ny + 1) + height
     order = np.argsort(key, kind="stable")
     t = live[order]                                   # triangles grouped by shape
     width, height = width[order], height[order]
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    i0, i1, j0, j1, d = i0[t, None], i1[t, None], j0[t, None], j1[t, None], d[t, None, None]
+    i0, j0, d = i0[t, None], j0[t, None], d[t, None, None]
     # edge k runs from corner k to corner k + 1: its start a and its vector
     # e, as (x or y, edge, triangle, 1)
     a = tris[t].transpose(2, 1, 0)[..., None]
     e = np.empty_like(a)            # filled in place: a temporary raised peak RSS
     np.subtract(a[:, 1:], a[:, :2], out=e[:, :2])
     np.subtract(a[:, 0], a[:, 2], out=e[:, 2])
-    # one centre past each grid edge: a padded box may reach it, masked out
-    cx = lo[0] + (np.arange(nx + 1) + 0.5) * cell
-    cy = lo[1] + (np.arange(ny + 1) + 0.5) * cell
+    # batches slice one index ramp: numpy keeps small freed buffers for reuse,
+    # so per-batch ramps of many sizes stay allocated and pin the heap top
+    steps = np.arange(max(nx, ny))
+    cx = lo[0] + (steps[:nx] + 0.5) * cell
+    cy = lo[1] + (steps[:ny] + 0.5) * cell
     for lo_g, hi_g in zip(starts, np.append(starts[1:], len(t))):
         w, h = int(width[lo_g]), int(height[lo_g])
         per = max(1, _RASTER_CHUNK // (w * h))        # triangles per batch
         step = max(1, _RASTER_CHUNK // (per * h))     # columns per batch
         for first in range(lo_g, hi_g, per):
             b = slice(first, min(first + per, hi_g))
-            j = j0[b] + np.arange(h)                  # (triangles, rows)
+            j = j0[b] + steps[:h]                     # (triangles, rows)
             rows = e[0, :, b] * (cy[j] - a[1, :, b])  # (edge, triangles, rows)
             for c in range(0, w, step):
-                i = i0[b] + np.arange(c, min(c + step, w))   # (triangles, columns)
+                i = i0[b] + steps[c:min(c + step, w)]   # (triangles, columns)
                 cols = e[1, :, b] * (cx[i] - a[0, :, b])
                 ok = (rows[:, :, None, :] - cols[:, :, :, None]) / d[b] >= -1e-12
                 inside = ok[0] & ok[1] & ok[2]
-                inside &= (i <= i1[b])[:, :, None] & (j <= j1[b])[:, None, :]
                 bitmap[((i * ny)[:, :, None] + j[:, None, :])[inside]] = True
     return bitmap.reshape(nx, ny)
 
@@ -339,14 +338,14 @@ def band_area(
 
 def write_mesh4(path, mesh: TriMesh4) -> None:
     """Write a mesh in the MESH4 text format (17 significant digits)."""
-    real = "{:.17g}".format
-    lines = [f"MESH4 {len(mesh.vertices)} {len(mesh.faces)}"]
-    lines += [" ".join(map(real, v)) for v in mesh.vertices.tolist()]
-    lines += [f"{a} {b} {c}" for a, b, c in mesh.faces.tolist()]
+    vertex = "{:.17g} {:.17g} {:.17g} {:.17g}\n".format
     idx = np.flatnonzero(mesh.fixed).tolist()
-    lines += ["B " + " ".join(map(str, idx[s:s + 16])) for s in range(0, len(idx), 16)]
     with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"MESH4 {len(mesh.vertices)} {len(mesh.faces)}\n")
+        f.writelines(map(vertex, *mesh.vertices.T.tolist()))
+        f.writelines(map("{} {} {}\n".format, *mesh.faces.T.tolist()))
+        f.writelines("B " + " ".join(map(str, idx[s:s + 16])) + "\n"
+                     for s in range(0, len(idx), 16))
 
 
 def read_mesh4(path) -> TriMesh4:

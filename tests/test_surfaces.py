@@ -293,9 +293,8 @@ def test_shadow_bitmap_clips_at_grid_edge():
 def test_shadow_bitmap_matches_oracle_on_mixed_box_shapes():
     # a few hundred triangles with boxes of many shapes, so that batches of
     # every size run; one box of 118 x 121 cells, more than one batch may
-    # test; and boxes of odd width or height clipped at the right or top
-    # edge of the grid, whose rounding to even pads them past column 129 or
-    # row 129
+    # test; and boxes clipped at the right or top edge of the grid, which
+    # end at column 129 or row 129
     rng = np.random.default_rng(74)
     centres = rng.uniform(-1.2, 1.2, size=(300, 1, 2))
     sizes = np.exp(rng.uniform(np.log(0.005), np.log(0.4), size=(300, 1, 1)))
@@ -307,6 +306,12 @@ def test_shadow_bitmap_matches_oracle_on_mixed_box_shapes():
     tris.append([[1.01, 1.01], [1.6, 1.01], [1.01, 1.6]])       # cell (129, 129)
     got = _marked(tris)
     assert got[129, 32:97].all() and got[32:97, 129].all() and got[129, 129]
+    # alone, so that no other triangle covers its cells: a box of 101 x 67
+    # cells wholly inside the grid, split into column strips of 61 and 40
+    box = _GRID_LO + np.array([[10.3, 20.3], [109.7, 20.3], [109.7, 85.7]]) * _GRID_CELL
+    assert 101 % (sf._RASTER_CHUNK // 67) == 40
+    got = _marked([box])
+    assert got[71:110, 21].all() and not got[110:].any()
 
 
 # --------------------------------------------------- projection inequality
