@@ -22,13 +22,18 @@ __all__ = ["ConfigError", "NumericalError", "__version__", "thread_count"]
 
 
 def thread_count() -> int:
-    """Worker threads from ``PLANES4_THREADS``: a positive integer, else 1.
+    """Worker threads of the plateau pinch sweep, the one parallel path.
 
-    It caps the plateau pinch sweep, the one parallel path; results are
-    identical at any setting.
+    A positive integer in ``PLANES4_THREADS`` wins; unset or empty gives
+    the cores this process may run on, and any other value gives 1.
+    Results are identical at any setting.
     """
     raw = os.environ.get("PLANES4_THREADS", "")
+    if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
-        return max(1, int(raw)) if raw else 1
+        return max(1, int(raw))
     except ValueError:
         return 1

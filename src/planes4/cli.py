@@ -19,8 +19,10 @@ an ``--out`` holding ``manifest.txt`` holds every file it lists.
 Flags are long-form only; a ``--config`` file in flat key=value form may
 supply any flag (command-line values win).  All randomness is drawn from
 SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
-so runs reproduce bit-for-bit across platforms and ports.  The env var
-PLANES4_THREADS caps the threads of the plateau pinch sweep only.
+so runs reproduce bit-for-bit across platforms and ports.  The plateau
+pinch sweep, the one parallel path, runs on as many threads as the process
+has cores, or on PLANES4_THREADS of them; its outputs are the same bytes
+at any count.
 
 Exit codes: 0 success, 1 configuration error (among them a ``scan
 --density`` whose mesh sample would exceed 2^24 points, and an output
@@ -311,14 +313,19 @@ def _cmd_plateau(args) -> dict:
         pinch_radius=p, max_iters=args.iters)
         for p in pinches]
     competitors = [plateau.build_competitor(cfg) for cfg in configs]
-    workers = min(thread_count(), len(configs))
-    # one worker runs inline: a one-thread pool raised the plateau peak RSS
-    # from 58 MB to 62-68 MB, most likely from glibc's per-thread malloc arena
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(plateau.run_experiment, configs, competitors))
-    else:
-        reports = [plateau.run_experiment(cfg, mesh) for cfg, mesh in zip(configs, competitors)]
+    # lane k runs configs k, k + w, ...; the calling thread runs lane 0 rather
+    # than wait, as each thread adds a malloc arena and a descent's buffers
+    # to the peak RSS
+    w = min(thread_count(), len(configs))
+
+    def lane(k: int) -> list:
+        return [plateau.run_experiment(cfg, mesh)
+                for cfg, mesh in zip(configs[k::w], competitors[k::w])]
+
+    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:    # no thread at w = 1
+        others = [pool.submit(lane, k) for k in range(1, w)]
+        lanes = [lane(0)] + [future.result() for future in others]
+    reports = [lanes[i % w][i // w] for i in range(len(configs))]
 
     header = ["alpha1", "alpha2", "pinch", "segments", "initial_area",
               "final_area", "certificate_bound", "covers1", "covers2",

@@ -186,7 +186,7 @@ class _AreaGradient:
         self._vt = np.empty((4, nv))
         self._p = np.empty((4, 3, m))        # corner coordinates, then edge rows
         self._w = np.empty((6, m))           # wedge coefficients
-        self._s = np.empty((4, m))           # norm, denominator, two scratch rows
+        self._s = self._p[:, 0]   # norm, denominator, two scratch rows, once u and v are formed
         self._g = np.empty((3, m))           # one gradient coordinate, per corner
 
     def _wedge_row(self, a: int, x: np.ndarray, out: np.ndarray) -> None:
@@ -256,11 +256,11 @@ def _retract_to_ball(verts: np.ndarray, free: np.ndarray) -> None:
         verts[idx] /= norms[out][:, None]
 
 
-def _free_grad_norm(grad: np.ndarray, free: np.ndarray) -> float:
+def _free_grad_norm(grad: np.ndarray, free: np.ndarray, buf: np.ndarray) -> float:
     # a numpy pairwise sum, not np.linalg.norm: its BLAS dot product splits
     # the sum by the BLAS thread count, so the value varied between machines
-    g = grad[free]
-    return float(np.sqrt(np.sum(g * g)))
+    g = np.take(grad, free, axis=0, out=buf, mode="clip")
+    return float(np.sqrt(np.sum(np.multiply(g, g, out=g))))
 
 
 def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
@@ -268,13 +268,16 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
     if not mesh.fixed.any():
         raise ValueError("mesh has no fixed boundary vertices")
     verts = mesh.vertices.copy()
+    trial = np.empty_like(verts)            # swaps with verts on acceptance
     free = np.flatnonzero(~mesh.fixed)
+    free_grad = np.empty((len(free), 4))
+    sq, t = np.empty((2, len(verts)))
     evaluate = _AreaGradient(mesh.faces, len(verts))
     current, grad = evaluate(verts)
     trace = [current]
     step = _STEP
     stopped = "max-iters"
-    gnorm = _free_grad_norm(grad, free)
+    gnorm = _free_grad_norm(grad, free, free_grad)
     for _ in range(max_iters):
         if gnorm < TOL_GRAD:
             stopped = "converged"
@@ -282,15 +285,22 @@ def minimize_area(mesh: TriMesh4, max_iters: int = 200) -> MinimizeResult:
         grad[mesh.fixed] = 0.0                       # x - s * 0.0 is x, bit for bit
         s = step
         while s > 1e-12 * _STEP:
-            trial = verts - s * grad
-            # the squares np.linalg.norm sums: as sqrt is monotone and
-            # sqrt(1) = 1, this admits every row that _retract_to_ball moves
-            if (np.sum(trial * trial, axis=1)[free] > 1.0).any():
+            np.subtract(verts, np.multiply(s, grad, out=trial), out=trial)
+            # the squares np.linalg.norm sums, added in another order: as
+            # sqrt is monotone and sqrt(1) = 1, the margin admits every row
+            # that _retract_to_ball moves; the fixed rows, on the unit
+            # circle, never move
+            np.square(trial[:, 0], out=sq)
+            for c in (1, 2, 3):
+                np.add(sq, np.square(trial[:, c], out=t), out=sq)
+            sq[mesh.fixed] = 0.0
+            if sq.max() > 1.0 - 1e-9:
                 _retract_to_ball(trial, free)
             val, g = evaluate(trial)
             if val < current:
-                verts, current, grad = trial, val, g
-                gnorm = _free_grad_norm(grad, free)
+                verts, trial = trial, verts
+                current, grad = val, g
+                gnorm = _free_grad_norm(grad, free, free_grad)
                 trace.append(current)
                 step = min(s * 1.5, 10.0 * _STEP)
                 break

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -419,26 +420,58 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     write_mesh4(mesh_path, build_union_mesh(np.pi / 2, np.pi / 2, 64))
     commands = {
         "plateau": ["plateau", "--alpha1", "1.5707963267948966",
-                    "--alpha2", "1.5707963267948966",
-                    "--pinch-sweep", "0.1,0.2", "--segments", "64", "--iters", "5"],
+                    "--alpha2", "1.5707963267948966", "--pinch-sweep", "0.1,0.2,0.3",
+                    "--segments", "64", "--iters", "5", "--write-mesh"],
         "scan": ["scan", "--mesh", str(mesh_path), "--eps", "0.01",
                  "--density", "0.04"],
     }
     for name, base in commands.items():
-        out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}2"
-        monkeypatch.delenv("PLANES4_THREADS", raising=False)
-        assert run_command(base + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("PLANES4_THREADS", "2")
-        assert run_command(base + ["--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes(), name
+        outputs = []
+        for threads in ("1", "2", None):      # unset is every core, not serial
+            if threads is None:
+                monkeypatch.delenv("PLANES4_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("PLANES4_THREADS", threads)
+            out = tmp_path / f"{name}{threads}"
+            assert run_command(base + ["--out", str(out)]) == 0
+            files = ["results.csv", "record.txt"] + sorted(p.name for p in out.glob("*.mesh4"))
+            outputs.append({f: (out / f).read_bytes() for f in files})
+        assert len(outputs[0]) == (5 if name == "plateau" else 2)
+        assert outputs[0] == outputs[1] == outputs[2], name
+
+
+def test_sweep_caller_runs_lane_zero(tmp_path, monkeypatch):
+    # 3 pinches on 2 threads: lane 0 (pinches 1 and 3) on the calling
+    # thread, lane 1 on the one pool thread, rows back in pinch order
+    ran = []
+    real = planes4.plateau.run_experiment
+
+    def recording(cfg, mesh):
+        ran.append((threading.get_ident(), cfg.pinch_radius))
+        return real(cfg, mesh)
+
+    monkeypatch.setattr("planes4.plateau.run_experiment", recording)
+    monkeypatch.setenv("PLANES4_THREADS", "2")
+    out = tmp_path / "p"
+    assert run_command(["plateau", "--alpha1", "0.5", "--alpha2", "0.6",
+                        "--pinch-sweep", "0.25,0.15,0.2", "--segments", "32",
+                        "--iters", "1", "--out", str(out)]) == 0
+    by_thread = {}
+    for ident, pinch in ran:
+        by_thread.setdefault(ident, []).append(pinch)
+    assert by_thread.pop(threading.get_ident()) == [0.15, 0.25]
+    assert list(by_thread.values()) == [[0.2]]
+    header, rows = read_csv(out / "results.csv")
+    assert [float(row[header.index("pinch")]) for row in rows] == [0.15, 0.2, 0.25]
 
 
 def test_thread_count_parses_env(monkeypatch):
-    for raw, want in (("", 1), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
+    cores = len(os.sched_getaffinity(0))
+    for raw, want in (("", cores), ("3", 3), ("0", 1), ("-2", 1), ("many", 1)):
         monkeypatch.setenv("PLANES4_THREADS", raw)
         assert planes4.thread_count() == want, raw
     monkeypatch.delenv("PLANES4_THREADS")
-    assert planes4.thread_count() == 1
+    assert planes4.thread_count() == cores
 
 
 def _planes4_distribution():

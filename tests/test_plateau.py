@@ -218,6 +218,27 @@ def test_minimize_bytes_are_pinned(case, digest):
     assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
+# the digest above at 1 and 41 steps, pinned before the trial buffer was
+# reused: after an odd number of accepted steps the vertices are the
+# buffer that started as the first trial
+@pytest.mark.parametrize("case, iters, digest", [
+    ("pinched", 1, "4cfc7bf2b3bed5fe"),
+    ("pinched", 41, "72177d3f1c928d0e"),
+    ("retraction", 1, "34e00c0b76ca36ef"),
+    ("retraction", 41, "33f2df6fc7872fa9"),
+])
+def test_minimize_swapped_buffer_bytes_are_pinned(case, iters, digest):
+    m = (pl.build_pinched_competitor(np.pi / 6, np.pi / 6, 0.2, 64) if case == "pinched"
+         else _retraction_case())
+    m = sf.TriMesh4(np.round(m.vertices * 2.0 ** 30) / 2.0 ** 30, m.faces, m.fixed)
+    before = m.vertices.tobytes()
+    res = pl.minimize_area(m, max_iters=iters)
+    assert len(res.trace) == iters + 1
+    data = res.trace.astype("<f8").tobytes() + res.mesh.vertices.astype("<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert m.vertices.tobytes() == before
+
+
 def test_minimize_requires_fixed_boundary():
     verts = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     m = sf.TriMesh4(verts, np.array([[0, 1, 2]]))
