@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grassmann import Plane
-from .surfaces import TriMesh4
+from .surfaces import TriMesh4, _as_rows
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class SetSample:
     resolution: float
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=float).reshape(-1, 4)
+        pts = _as_rows(self.points, float, 4, "set sample points")
         if not len(pts):
             raise ValueError("a set sample must contain at least one point")
         if not self.resolution > 0:
@@ -104,9 +104,21 @@ class ScanReport:
         return np.array([np.zeros(4), np.zeros(4)] + [st.best_q for st in moved])
 
 
-def _in_bicylinder(a: np.ndarray, c: np.ndarray, planes: tuple[Plane, Plane],
-                   x: np.ndarray, r: float) -> np.ndarray:
-    """Mask of the points, given by in-plane coordinates a, c (m, 2), inside D(x, r)."""
+def _project(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates y @ basis.T (m, 2) of the points y (m, 4).
+
+    A row has the same bits in every gemm product that holds it, so a pass
+    over the points in chunks gives the bits of one product over all of
+    them.  numpy sends a one-row product to gemv, which can round
+    otherwise, so a lone row goes through a two-row product.
+    """
+    return (np.repeat(y, 2, axis=0) @ basis.T)[:1] if len(y) == 1 else y @ basis.T
+
+
+def _in_bicylinder(y: np.ndarray, planes: tuple[Plane, Plane], x: np.ndarray,
+                   r: float) -> np.ndarray:
+    """Mask of the points y (m, 4) inside D(x, r)."""
+    a, c = _project(y, planes[0].basis), _project(y, planes[1].basis)
     b1 = x @ planes[0].basis.T
     b2 = x @ planes[1].basis.T
     m = np.hypot(a[:, 0] - b1[0], a[:, 1] - b1[1]) <= r
@@ -141,18 +153,29 @@ _MAX_ROUNDS = 24         # coordinate-descent rounds at most
 #: scan_pinch benchmark scans about 3% slower on 2 cores
 _LATTICE_CHUNK = 512
 
+#: sample points per pass of the window cut, the window projection and the
+#: set side, so that no pass holds more than a chunk's temporaries
+_POINT_CHUNK = 1 << 15
+
+
+def _chunks(n: int):
+    """Slices of at most ``_POINT_CHUNK`` consecutive rows covering range(n)."""
+    return (slice(s, s + _POINT_CHUNK) for s in range(0, n, _POINT_CHUNK))
+
 
 class _PairGeometry:
     """What every window of a scan reads across the whole sample.
 
-    The plane pair, its complement bases ``comp``, the in-plane coordinates
-    ``inplane`` and ``tree``, the scan's one kd-tree, which answers every
-    lattice query in every window exactly; ``sup_to_pair`` is the scan's
-    one set-side routine.  The tree is built by sliding midpoint
+    The plane pair, its complement bases ``comp`` and ``tree``, the scan's
+    one kd-tree, which answers every lattice query in every window
+    exactly; ``sup_to_pair`` is the scan's one set-side routine.  No other
+    whole-sample array is kept: each window cut projects its points afresh,
+    ``_POINT_CHUNK`` rows at a time.  The tree is built by sliding midpoint
     (``balanced_tree=False``) without shrinking each node to its points'
-    box (``compact_nodes=False``), which builds and queries faster here;
-    a nearest-neighbour query is exact in any tree shape, so the
-    distances it returns do not depend on these two arguments.
+    box (``compact_nodes=False``), which builds and queries faster here,
+    with 64-point leaves, which hold less memory than the default 16; a
+    nearest-neighbour query is exact in any tree shape, so the distances
+    it returns do not depend on these three arguments.
     """
 
     def __init__(self, e: SetSample, p1: Plane, p2: Plane):
@@ -160,21 +183,27 @@ class _PairGeometry:
         self.e = e
         self.planes = (p1, p2)
         self.comp = (_complement_basis(p1), _complement_basis(p2))
-        pts = e.points
-        self.inplane = (pts @ p1.basis.T, pts @ p2.basis.T)
-        self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        self.tree = cKDTree(e.points, leafsize=64, balanced_tree=False, compact_nodes=False)
 
     def window_index(self, x: np.ndarray, r: float,
                      parent: _WindowCtx | None = None) -> np.ndarray:
         """Ascending indices of the sample points inside D(x, r), tested over the
         window ``parent`` = D(x', r') only if r + max_i |(x - x') @ B_i.T| <= r',
-        less a margin far above the few ulps by which the hypot tests round."""
-        a, c = self.inplane
+        less a margin far above the few ulps by which the hypot tests round.
+
+        The points are projected (``_project``) and tested ``_POINT_CHUNK``
+        at a time, so the mask is the one a single pass would give."""
+        pts, rows = self.e.points, None
         if parent is not None:
             slack = parent.r - 1e-12 * (parent.r + np.abs(x).sum() + np.abs(parent.x).sum())
             if r + max(np.linalg.norm((x - parent.x) @ p.basis.T) for p in self.planes) <= slack:
-                return parent.idx[_in_bicylinder(a[parent.idx], c[parent.idx], self.planes, x, r)]
-        return np.flatnonzero(_in_bicylinder(a, c, self.planes, x, r))
+                rows = parent.idx
+        parts = [np.empty(0, dtype=np.intp)]
+        for sl in _chunks(len(pts) if rows is None else len(rows)):
+            cut = sl if rows is None else rows[sl]
+            keep = _in_bicylinder(pts[cut], self.planes, x, r)
+            parts.append(np.flatnonzero(keep) + sl.start if rows is None else cut[keep])
+        return np.concatenate(parts)
 
     def sup_to_pair(self, n1: np.ndarray, n2: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Sup over points of the distance to the pair translated by each q.
@@ -192,7 +221,10 @@ class _PairGeometry:
         matmul batches of qs, so every value has the bits of a separate
         pair of hypot passes per q over the same batches (the tests'
         oracle ``pair_dist``).  A pair with no repeated row costs one hypot
-        pass per q and plane, as that does.
+        pass per q and plane, as that does.  The passes run over
+        ``_POINT_CHUNK`` points at a time; each q keeps the ``np.maximum``
+        of its chunk maxima, exact in any order and carrying a NaN through,
+        so the bits are those of one pass over all the points.
         """
         qs = np.atleast_2d(qs)
         out = np.zeros(len(qs))
@@ -205,14 +237,15 @@ class _PairGeometry:
             sides.append((n, rows, inv.ravel()))
         (na, ra, ia), (nb, rb, ib) = sorted(sides, key=lambda side: len(side[1]))
         for a in range(0, len(ra), 16):
-            da = _plane_dist(na, ra[a:a + 16])
             ks = np.flatnonzero((ia >= a) & (ia < a + 16))
             need, pos = np.unique(ib[ks], return_inverse=True)
-            for c in range(0, len(need), 16):
-                db = _plane_dist(nb, rb[need[c:c + 16]])
-                for k, j in zip(ks, pos):
-                    if c <= j < c + 16:
-                        out[k] = np.minimum(da[ia[k] - a], db[j - c]).max()
+            for sl in _chunks(len(na)):
+                da = _plane_dist(na[sl], ra[a:a + 16])
+                for c in range(0, len(need), 16):
+                    db = _plane_dist(nb[sl], rb[need[c:c + 16]])
+                    for k, j in zip(ks, pos):
+                        if c <= j < c + 16:
+                            out[k] = np.maximum(out[k], np.minimum(da[ia[k] - a], db[j - c]).max())
         return out
 
 
@@ -278,10 +311,14 @@ class _WindowCtx:
         return np.vstack([self._plane_lattice(q, i)[0] for i in (0, 1)])
 
     def _normal(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Complement coordinates (m, 2) per plane of the sample points idx."""
-        pts = self.geom.e.points[idx]
-        comp = self.geom.comp
-        return pts @ comp[0].T, pts @ comp[1].T
+        """Complement coordinates (m, 2) per plane of the sample points idx,
+        filled ``_POINT_CHUNK`` rows at a time with no copy of all m points."""
+        pts, (c1, c2) = self.geom.e.points, self.geom.comp
+        n1, n2 = np.empty((len(idx), 2)), np.empty((len(idx), 2))
+        for sl in _chunks(len(idx)):
+            y = pts[idx[sl]]
+            n1[sl], n2[sl] = _project(y, c1), _project(y, c2)
+        return n1, n2
 
     def value(self, q: np.ndarray, n1: np.ndarray, n2: np.ndarray,
               bar: float = np.inf) -> float | None:
@@ -331,9 +368,8 @@ class _WindowCtx:
     def exact_value(self, q: np.ndarray) -> float:
         """The window value at q over every point of the window, kept per q.
 
-        With no subsample, ``n1``, ``n2`` already are the window's projection,
-        the same matmul of the same rows; else all points are projected again,
-        as rows sliced from a BLAS product need not have its bits."""
+        With no subsample, ``n1``, ``n2`` already are the window's projection;
+        else every point of the window is projected here."""
         if (key := tuple(q)) not in self._exact:
             self._exact[key] = self.value(
                 q, *((self.n1, self.n2) if self._whole else self._normal(self.idx)))

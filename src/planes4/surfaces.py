@@ -39,6 +39,15 @@ _DEGENERATE_AREA = 1e-14
 SHADOW_RESOLUTION = 256
 
 
+def _as_rows(a, dtype, width: int, what: str) -> np.ndarray:
+    """a as contiguous (n, width) rows; any other last axis is a ValueError
+    naming ``what``, but an empty array of any shape gives (0, width)."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.size and a.shape[-1:] != (width,):
+        raise ValueError(f"{what} must have shape (n, {width}), got {a.shape}")
+    return a.reshape(-1, width)
+
+
 @dataclass
 class TriMesh4:
     """Triangulated surface in R^4 with fixed-vertex boundary flags."""
@@ -48,8 +57,8 @@ class TriMesh4:
     fixed: np.ndarray = None        # (n,) bool, default all free
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float).reshape(-1, 4)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        self.vertices = _as_rows(self.vertices, float, 4, "mesh vertices")
+        self.faces = _as_rows(self.faces, np.int64, 3, "mesh faces")
         if self.fixed is None:
             self.fixed = np.zeros(len(self.vertices), dtype=bool)
         else:

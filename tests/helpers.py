@@ -289,10 +289,11 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
 
     Every candidate gets its full set-side sup and a full lattice query
     against the whole-sample kd-tree ``geom.tree``, the window masks run
-    over the whole sample, and every projection is taken here from
-    ``e.points``.  Every set-side sup, the coarse grid's lower bounds
-    among them, is ``pair_dist(geom, n1, n2, qs).max(axis=1)`` in 16-row
-    batches, never the production ``sup_to_pair``.  Only the complement
+    over the whole sample, and every projection is a row of the whole
+    sample's product ``e.points @ B.T``, taken here.  Every set-side sup,
+    the coarse grid's lower bounds among them, is
+    ``pair_dist(geom, n1, n2, qs).max(axis=1)`` in 16-row batches, never
+    the production ``sup_to_pair``.  Only the complement
     bases ``geom.comp``, the hypot kernel ``_plane_dist``, the window lattice
     ``_WindowCtx.lattice`` (built once for D(x, r), anchored at x's
     projection onto P_i + q, 48 points per window diameter; checked
@@ -312,8 +313,7 @@ def search_translate_oracle(e: SetSample, planes, x: np.ndarray, r: float,
     sub = idx[::max(1, int(np.ceil(len(idx) / _SEARCH_POINT_CAP)))]
 
     def normal(rows):
-        pts = e.points[rows]
-        return pts @ geom.comp[0].T, pts @ geom.comp[1].T
+        return (e.points @ geom.comp[0].T)[rows], (e.points @ geom.comp[1].T)[rows]
 
     n1, n2 = normal(sub)
 
@@ -524,8 +524,7 @@ def bicylinder_clip(sample: SetSample, p1: Plane, p2: Plane,
     if r <= 0:
         raise ValueError(f"clip radius must be positive, got {r}")
     pts = sample.points
-    return pts[_in_bicylinder(pts @ p1.basis.T, pts @ p2.basis.T, (p1, p2),
-                              np.asarray(x, dtype=float), r)]
+    return pts[_in_bicylinder(pts, (p1, p2), np.asarray(x, dtype=float), r)]
 
 
 def relative_distance(e: SetSample, f: SetSample, p1: Plane, p2: Plane,

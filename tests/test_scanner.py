@@ -562,6 +562,15 @@ def test_scan_inputs_reject_nan():
         sc.pinched_pair_sample(float("nan"), 0.01, 0.05)
 
 
+def test_set_sample_refuses_rows_of_the_wrong_width():
+    # (4, 3) points once read as (3, 4)
+    with pytest.raises(ValueError, match=r"must have shape \(n, 4\), got \(4, 3\)"):
+        sc.SetSample(np.zeros((4, 3)), 0.1)
+    with pytest.raises(ValueError, match="at least one point"):
+        sc.SetSample(np.zeros((0, 3)), 0.1)
+    assert sc.SetSample(np.zeros(4), 0.1).points.shape == (1, 4)
+
+
 # -------------------------------------------------------------- mesh sample
 
 def test_sample_mesh_density(tmp_path):

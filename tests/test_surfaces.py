@@ -54,6 +54,17 @@ def test_mesh_validation_checks_boundary_polylines(flip, message):
         sf.TriMesh4(m.vertices, m.faces, fixed)
 
 
+def test_mesh_refuses_rows_of_the_wrong_width(tmp_path):
+    # (8, 3) vertices once read as (6, 4); an empty file's (0,) arrays still pass
+    with pytest.raises(ValueError, match=r"vertices must have shape \(n, 4\), got \(8, 3\)"):
+        sf.TriMesh4(np.zeros((8, 3)), np.zeros((0, 3), dtype=int))
+    with pytest.raises(ValueError, match=r"faces must have shape \(n, 3\), got \(3, 2\)"):
+        sf.TriMesh4(np.eye(4)[:3], np.zeros((3, 2), dtype=int))
+    (tmp_path / "empty.mesh4").write_text("MESH4 0 0\n")
+    m = sf.read_mesh4(tmp_path / "empty.mesh4")
+    assert m.vertices.shape == (0, 4) and m.faces.shape == (0, 3)
+
+
 def test_empty_mesh_has_zero_area():
     m = sf.TriMesh4(np.zeros((0, 4)), np.zeros((0, 3), dtype=int))
     assert sf.area(m) == 0.0
