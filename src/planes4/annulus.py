@@ -151,7 +151,7 @@ def fd_oracle(
     spec: AnnulusSpec,
     grid: tuple[int, int] = (128, 512),
 ) -> float:
-    """Discrete Dirichlet energy of the FD harmonic solution on the annulus.
+    """Discrete Dirichlet energy of the FD harmonic solution on a concentric annulus.
 
     ``inner`` and ``outer`` are boundary values on the two circles, given
     either as callables of theta or as arrays matching the angular grid.
@@ -184,6 +184,8 @@ def fd_oracle(
     n_r, n_t = grid
     if n_r < 64 or n_t < 256:
         raise ConfigError(f"grid must be at least 64 radial x 256 angular, got {grid}")
+    if any(spec.center):
+        raise ConfigError(f"fd_oracle solves a concentric annulus only, got center={spec.center}")
     theta = np.arange(n_t) * (2.0 * np.pi / n_t)
     u_in = _boundary_values(inner, theta)
     u_out = _boundary_values(outer, theta)

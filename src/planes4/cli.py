@@ -18,11 +18,11 @@ an ``--out`` holding ``manifest.txt`` holds every file it lists.
 
 Flags are long-form only; a ``--config`` file in flat key=value form may
 supply any flag (command-line values win).  All randomness is drawn from
-SplitMix64 seeded by --seed (see the rng module for the exact algorithm),
-so runs reproduce bit-for-bit across platforms and ports.  The plateau
-pinch sweep, the one parallel path, runs on as many threads as the process
-has cores, or on PLANES4_THREADS of them; its outputs are the same bytes
-at any count.
+SplitMix64 seeded by --seed (see the rng module), so reruns give the same
+bytes; CI checks this with numpy 2.4.6 and scipy 1.17.1 on the OpenBLAS
+kernels it runs (its default, Haswell, Prescott).  The plateau pinch sweep,
+the one parallel path, runs on as many threads as the process has cores, or
+on PLANES4_THREADS of them; its outputs are the same bytes at any count.
 
 Exit codes: 0 success, 1 configuration error (among them a ``scan
 --density`` whose mesh sample would exceed 2^24 points, and an output
@@ -154,16 +154,13 @@ def _write_files(out: Path, files: dict) -> None:
 # ---------------------------------------------------------------- bounds
 
 def _cmd_bounds(args) -> dict:
-    pairs = []
     if args.alpha_steps:
-        grid = np.linspace(0.0, np.pi / 2, args.alpha_steps)
-        for i, a1 in enumerate(grid):
-            for a2 in grid[i:]:
-                pairs.append((float(a1), float(a2)))
+        grid = np.linspace(0.0, np.pi / 2, args.alpha_steps).tolist()
+        pairs = [(a1, a2) for i, a1 in enumerate(grid) for a2 in grid[i:]]
     else:
         if args.alpha1 is None or args.alpha2 is None:
             raise ConfigError("bounds needs --alpha1 and --alpha2 (or --alpha-steps)")
-        pairs.append((args.alpha1, args.alpha2))
+        pairs = [(args.alpha1, args.alpha2)]
 
     header = ["alpha1", "alpha2", "sup_value", "wirtinger_bound", "witness",
               "c12", "c13", "c14", "c23", "c24", "c34"]

@@ -68,14 +68,15 @@ class SplitMix64:
     def unit_vector(self, dim: int, size: int | None = None) -> np.ndarray:
         """Uniform points on the unit sphere in R^dim, one per row.
 
-        Each row is a group of ``dim`` normals divided by its
-        ``np.linalg.norm``.  A group whose norm is at most 1e-12 is skipped
-        and the later groups keep their order, as a sequential redraw would.
+        Each row is a group of ``dim`` normals v divided by sqrt(np.sum(v * v)),
+        the squares added left to right (pairwise from dim 8) with no BLAS
+        call.  A group whose norm is at most 1e-12 is skipped and the later
+        groups keep their order, as a sequential redraw would.
         """
         n = 1 if size is None else size
         rows = np.empty((0, dim))
         while len(rows) < n:
             v = self.normal((n - len(rows)) * dim).reshape(-1, dim)
-            r = np.array([np.linalg.norm(row) for row in v])
+            r = np.sqrt(np.sum(v * v, axis=1))
             rows = np.concatenate([rows, v[r > 1e-12] / r[r > 1e-12, None]])
         return rows[0] if size is None else rows

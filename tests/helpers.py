@@ -24,7 +24,8 @@ assembles the physical grid: it checks the residual and takes the Q1
 energy there, where ``fd_oracle`` works on the Fourier modes alone.
 
 The sequential SplitMix64 is the per-draw Python-int generator that the
-numpy block draws of ``planes4.rng`` must reproduce bit for bit, and the
+numpy block draws of ``planes4.rng`` must reproduce bit for bit (its unit
+vectors add the squares in plain floats, with no BLAS call), and the
 wirtinger oracle is the per-sample loop (one element, one wedge and one
 membership test per row) that the batch ``wirtinger`` command replaced.
 
@@ -583,10 +584,13 @@ class SequentialSplitMix64:
 
     def unit_vector(self, dim: int) -> np.ndarray:
         while True:
-            v = np.array([self.normal() for _ in range(dim)])
-            r = float(np.linalg.norm(v))
+            v = [self.normal() for _ in range(dim)]
+            s = 0.0
+            for x in v:
+                s += x * x
+            r = math.sqrt(s)
             if r > 1e-12:
-                return v / r
+                return np.array(v) / r
 
 
 class ForcedSplitMix64(SplitMix64):

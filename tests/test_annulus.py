@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from planes4 import annulus as an
-from planes4.errors import NumericalError
+from planes4.errors import ConfigError, NumericalError
 
 from helpers import fd_thomas_oracle
 
@@ -148,6 +148,13 @@ def test_fd_rejects_coarse_grid_and_bad_data():
         an.fd_oracle(np.cos, np.cos, spec, (32, 512))
     with pytest.raises(ValueError):
         an.fd_oracle(np.ones(100), np.cos, spec, (64, 256))
+
+
+@pytest.mark.parametrize("center", [(0.4, 0.0), (0.0, -0.1)])
+def test_fd_refuses_an_off_centre_annulus(center):
+    # the solve is concentric: an off-centre spec must not get the centred energy
+    with pytest.raises(ConfigError, match=rf"center=\({center[0]}, {center[1]}\)"):
+        an.fd_oracle(np.cos, np.zeros_like, an.AnnulusSpec(0.25, center=center), (128, 512))
 
 
 @pytest.mark.parametrize("grid, rel", [

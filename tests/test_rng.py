@@ -61,3 +61,12 @@ def test_forced_redraw_skips_only_the_zero_group(group):
     assert gen.drawn == seq.drawn == 8 * 11
     assert np.array_equal(ForcedSplitMix64(3, forced).unit_vector(4), want[0])
     assert gen.unit_vector(4, 0).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_unit_vectors_equal_the_plain_float_formula(seed):
+    # the oracle adds the squares left to right in plain floats: no BLAS
+    # kernel, whichever OpenBLAS picks, may move a bit of any row
+    seq = SequentialSplitMix64(seed)
+    want = [seq.unit_vector(4).tolist() for _ in range(4000)]
+    assert SplitMix64(seed).unit_vector(4, 4000).tolist() == want
